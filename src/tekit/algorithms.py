@@ -9,7 +9,8 @@ failure-reduced) topology from the actual demands.  Budgets prune oblivious
 schemes and adaptive bases once, and conscious schemes on every recompute.
 
 Solve wall-clock times and any solver phase-limit events are recorded on the
-driver for reporting.
+driver for reporting; the simulator routes its recovery and flash re-balances
+through the same record.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
 
     Pairs whose entry is empty (e.g. every path crossed a failed link) keep
     an empty entry and have their demand ignored by the solver — the
-    simulator accounts it as failure loss.
+    simulator accounts it as failure loss.  If the solver stops without a
+    certificate, the PhaseLimitError propagates with the best-so-far scheme,
+    stranded pairs included, attached as ``.solution.scheme``.
     """
     covered = {pair: dist for pair, dist in base.items() if dist}
     stranded = [pair for pair, dist in base.items() if not dist]
@@ -75,9 +78,9 @@ def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
     try:
         solved = semi_mcf(topo, tm_solv, covered, mw).scheme
     except PhaseLimitError as exc:
-        solved = exc.solution.scheme
-    for pair in stranded:
-        solved[pair] = {}
+        exc.solution.scheme.update({pair: {} for pair in stranded})
+        raise
+    solved.update({pair: {} for pair in stranded})
     return solved
 
 
@@ -97,8 +100,8 @@ class SchemeDriver:
 
         tag = kind.tag
         if kind.category == "oblivious":
-            scheme = self._timed(f"{kind.name} build",
-                                 lambda: oblivious_scheme(tag, topo, cfg))
+            scheme = self.timed(f"{kind.name} build",
+                                lambda: oblivious_scheme(tag, topo, cfg))
             self.fixed = self._budgeted(scheme)
             self.installed = self.fixed
         elif tag == "semimcf":
@@ -108,21 +111,23 @@ class SchemeDriver:
                 builder = lambda: self._solve(topo, predicted_tms[0]).scheme
             else:
                 builder = lambda: oblivious_scheme(kind.base, topo, cfg)
-            self.base = self._budgeted(self._timed(f"{kind.name} base", builder))
+            self.base = self._budgeted(self.timed(f"{kind.name} base", builder))
             self.installed = self.base
         elif tag == "semimcfmcfenv":
-            self.base = self._budgeted(self._timed(
+            self.base = self._budgeted(self.timed(
                 f"{kind.name} base",
                 lambda: semi_mcf_env(topo, list(predicted_tms), cfg.mw)))
             self.installed = self.base
         elif tag == "semimcfmcfftenv":
-            self.base = self._budgeted(self._timed(
+            self.base = self._budgeted(self.timed(
                 f"{kind.name} base",
                 lambda: semi_mcf_ft_env(topo, list(predicted_tms), None, cfg.mw)))
             self.installed = self.base
         # conscious kinds (mcf, mw, optimalmcf) build per matrix
 
-    def _timed(self, label: str, fn):
+    def timed(self, label: str, fn):
+        """Run one solve, recording its wall time and, if the solver hit
+        its phase limit, the event; the best-so-far scheme is returned."""
         t0 = time.perf_counter()
         try:
             result = fn()
@@ -149,15 +154,15 @@ class SchemeDriver:
             return self.fixed
         if kind.category == "semi-oblivious":
             self.installed = self.base
-            return self._timed(f"{kind.name} reweight tm{t}",
-                               lambda: reweight(self.topo, self.base,
-                                                predicted, self.cfg.mw))
+            return self.timed(f"{kind.name} reweight tm{t}",
+                              lambda: reweight(self.topo, self.base,
+                                               predicted, self.cfg.mw))
         if kind.tag == "optimalmcf":
-            scheme = self._budgeted(self._timed(
+            scheme = self._budgeted(self.timed(
                 f"{kind.name} solve tm{t}",
                 lambda: self._solve(topo_current, actual).scheme))
         else:  # mcf / mw
-            scheme = self._budgeted(self._timed(
+            scheme = self._budgeted(self.timed(
                 f"{kind.name} solve tm{t}",
                 lambda: self._solve(self.topo, predicted).scheme))
         self.installed = scheme
@@ -170,7 +175,7 @@ class SchemeDriver:
 
     def solve_conscious(self, topo_current: Topology,
                         tm: TrafficMatrix) -> Scheme:
-        return self._budgeted(self._timed(
+        return self._budgeted(self.timed(
             f"{self.kind.name} flash solve",
             lambda: self._solve(topo_current, tm).scheme))
 

@@ -20,7 +20,8 @@ deterministic for a fixed seed; wall-clock timings are only written with
 was hit and --strict was given.
 
 Environment overrides: TEKIT_OUT_DIR (base output directory),
-TEKIT_PARALLEL (worker processes across algorithm runs; default 1).
+TEKIT_PARALLEL (worker processes across algorithm runs; an integer >= 1,
+default 1, capped at the number of algorithms and of CPUs).
 """
 
 from __future__ import annotations
@@ -109,6 +110,19 @@ def _load_inputs(args):
     return topo, actual, predicted
 
 
+def _workers(num_algos: int) -> int:
+    """TEKIT_PARALLEL as a worker count: an integer >= 1, capped at one
+    worker per algorithm and per CPU."""
+    raw = os.environ.get("TEKIT_PARALLEL", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InputError(f"TEKIT_PARALLEL must be an integer >= 1, got {raw!r}")
+    return min(workers, num_algos, os.cpu_count() or 1)
+
+
 def _run_one(topo, name, actual, predicted, cfg):
     report = sim.simulate(topo, name, actual, predicted, cfg)
     return name, report
@@ -123,6 +137,7 @@ def cmd_run(args) -> int:
             AlgorithmKind.parse(name)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+    workers = _workers(len(names))
     topo, actual, predicted = _load_inputs(args)
 
     mw = MwConfig(accuracy=args.accuracy, max_phases=args.max_phases)
@@ -154,9 +169,7 @@ def cmd_run(args) -> int:
     out_dir = FsPath(base_out) / run_tag
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = int(os.environ.get("TEKIT_PARALLEL", "1"))
-    results = []
-    if workers > 1 and len(names) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, topo, n, actual, predicted, cfg)
                        for n in names]
@@ -218,7 +231,7 @@ def cmd_run(args) -> int:
 def cmd_gen_demands(args) -> int:
     try:
         topo = fileio.load_topology(args.topo)
-    except (OSError, fileio.ParseError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"topology: {exc}") from exc
     if args.num_tms < 1:
         raise InputError("--num-tms must be >= 1")

@@ -166,30 +166,6 @@ def path_cost(lengths: Lengths, path: Path) -> float:
     return _cost(lengths, path)
 
 
-def all_simple_paths(adj, source: str, target: str,
-                     limit: int | None = None) -> list[Path]:
-    """Every simple path from source to target (exhaustive; oracle use only)."""
-    out: list[Path] = []
-
-    def extend(path: list[str], seen: set[str]) -> None:
-        if limit is not None and len(out) >= limit:
-            return
-        node = path[-1]
-        if node == target:
-            out.append(tuple(path))
-            return
-        for nbr in sorted(adj[node]):
-            if nbr not in seen:
-                seen.add(nbr)
-                path.append(nbr)
-                extend(path, seen)
-                path.pop()
-                seen.remove(nbr)
-
-    extend([source], {source})
-    return out
-
-
 def shortcut(path: Path) -> Path:
     """Remove loops from a walk: keep the first occurrence of each repeated
     node and splice directly to its last occurrence.  Never lengthens the

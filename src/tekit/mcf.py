@@ -1,18 +1,36 @@
 """Min-max-congestion flow solving by multiplicative weights.
 
-The solver maintains a weight per switch edge (a point on the simplex) and
-repeatedly routes every commodity along its shortest path under lengths
-w(e)/c(e), then multiplicatively inflates the weights of the edges the
-iteration loaded.  Averaging the per-iteration routings yields a fractional
-flow whose max utilization converges to the optimum; by LP duality the same
-lengths give a lower bound sum_j d_j * dist(j) on any routing's max
-congestion, so the loop stops exactly when the averaged flow is within the
-requested factor of the bound.  The returned solution therefore carries a
-certified optimality gap rather than a heuristic one.
+The solver (Garg-Koenemann / Fleischer multiplicative weights) keeps a
+weight per switch edge (a point on the simplex) and repeatedly routes every
+commodity along its shortest candidate path under lengths w(e)/c(e), then
+multiplicatively inflates the weights of the edges the iteration loaded.
+Averaging the per-iteration routings yields a fractional flow whose max
+utilization converges to the optimum; by LP duality the same lengths give a
+lower bound sum_j d_j * dist(j) on any routing's max congestion, so the loop
+stops exactly when the averaged flow is within the requested factor of the
+bound.  The returned solution therefore carries a certified optimality gap
+rather than a heuristic one.
 
-``semi_mcf`` runs the same machinery with each commodity's path choice
-restricted to a fixed base path set, which is how fixed-path schemes get
-their sending rates re-balanced as demands evolve.
+Both solvers share one array-based core.  It owns a *path pool*: every
+candidate path as flat switch-edge indices with per-path offsets and the
+commodity it serves.  An iteration asks an *oracle* for one pool index per
+commodity, adds one to that path's entry of an integer count vector, and
+accumulates edge load with ``np.bincount``; the best averaged iterate is a
+copy of the count vector.  The two oracles differ only in where paths come
+from:
+
+* ``mcf_mw`` runs a Dijkstra per source switch over the whole switch graph
+  and appends each path it has not returned before to the pool (column
+  generation), so paths enter the pool as the weights discover them;
+* ``semi_mcf`` fills the pool once from a fixed base path set and picks each
+  pair's shortest base path with one (paths x edges) product and a segment
+  minimum (``np.minimum.reduceat``), which is how fixed-path schemes get
+  their sending rates re-balanced as demands evolve.
+
+Floating-point results do not depend on the array layout: load is summed
+per edge in commodity order, the lower bound is a sequential sum in
+commodity order, and each pair's output distribution lists its paths in
+the order they were first chosen before it is normalized.
 """
 
 from __future__ import annotations
@@ -20,14 +38,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import graphops
 from .baseline import spf
 from .model import (Path, Scheme, Topology, TopologyError, TrafficMatrix,
-                    attach_stubs, normalized, path_edges)
+                    attach_stubs, format_scheme, normalized, path_edges)
 
 #: Paths carrying less than this probability are dropped and the rest
 #: renormalized; keeps emitted schemes close to one path per pair when the
@@ -92,12 +110,9 @@ class FlowSolution:
     lower_bound: float = 0.0
 
     def to_report(self) -> str:
-        lines = [f"max_congestion {self.max_congestion!r}",
-                 f"solve_time {self.solve_time:.6f}"]
-        for pair in sorted(self.scheme):
-            for path, prob in sorted(self.scheme[pair].items()):
-                lines.append(f"{pair[0]} {pair[1]} {prob!r} {'-'.join(path)}")
-        return "\n".join(lines) + "\n"
+        return (f"max_congestion {self.max_congestion!r}\n"
+                f"solve_time {self.solve_time:.6f}\n"
+                + format_scheme(self.scheme))
 
 
 def evaluate_scheme(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
@@ -130,53 +145,129 @@ def _solution(topo, scheme, tm, t0, iterations, lower_bound) -> FlowSolution:
 MW_ETA = 0.25
 
 
-def _mw_core(topo: Topology, commodities: list[tuple], shortest_fn,
-             cfg: MwConfig, switch_edges: list[tuple[str, str]]):
-    """Shared multiplicative-weights loop.
+class _PathPool:
+    """Candidate paths of every commodity, stored flat.
 
-    ``commodities`` is a list of (key, normalized_demand); ``shortest_fn``
-    maps current lengths to {key: (path, switch_hop_index_array, dist)}
-    where dist is the length of the chosen path over its switch hops and
-    the index array refers to positions in ``switch_edges``.  Returns (path
-    counts per key, iterations, certified normalized lower bound) for the
-    best averaged iterate.
+    Path ``i`` serves commodity ``owner[i]`` and crosses the switch edges
+    ``hops[start[i]:start[i] + size[i]]`` (positions in the solver's sorted
+    switch-edge list).  Paths are appended, never removed.
     """
-    m = len(switch_edges)
-    cap = np.array([topo.edges[e].capacity for e in switch_edges])
+
+    def __init__(self):
+        self.paths: list[Path] = []
+        self.owner: list[int] = []
+        self._hops: list[np.ndarray] = []
+        self._flat = None  # (hops, start, size), rebuilt after an append
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def add(self, owner: int, path: Path, hops: list[int]) -> int:
+        self.paths.append(path)
+        self.owner.append(owner)
+        self._hops.append(np.array(hops, dtype=np.intp))
+        self._flat = None
+        return len(self.paths) - 1
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._flat is None:
+            size = np.array([len(h) for h in self._hops], dtype=np.intp)
+            self._flat = (np.concatenate(self._hops), np.cumsum(size) - size,
+                          size)
+        return self._flat
+
+    def hops_of(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edge indices of the chosen paths, concatenated in order, and
+        each chosen path's hop count."""
+        hops, start, size = self.flat()
+        n = size[chosen]
+        ends = np.cumsum(n)
+        return hops[np.arange(ends[-1]) + np.repeat(start[chosen] - ends + n,
+                                                    n)], n
+
+
+def _mw_core(cap: np.ndarray, demand: np.ndarray, pool: _PathPool, oracle,
+             cfg: MwConfig):
+    """Shared multiplicative-weights loop over a path pool.
+
+    ``cap`` holds the switch-edge capacities, ``demand`` the normalized
+    demand per commodity.  ``oracle`` maps the current edge lengths to
+    (pool index of each commodity's shortest path, its length), both in
+    commodity order; it may append new paths to ``pool`` first.  Returns
+    (path counts of the best averaged iterate, iteration in which each path
+    was first chosen, that iterate's number, the certified normalized lower
+    bound, iterations run, converged).
+    """
+    m = len(cap)
     chat = cap / cap.max()
     w = np.full(m, 1.0 / m)
     load_sum = np.zeros(m)
-    counts: dict = {key: {} for key, _ in commodities}
-    best = None  # (ub, snapshot counts, t)
+    counts = np.zeros(len(pool), dtype=np.int64)
+    first = np.zeros(len(pool), dtype=np.int64)
+    best_ub, best_counts, best_t = math.inf, counts, 0
     best_lb = 0.0
     grow = 1.0 + cfg.accuracy
     log_eta = math.log1p(MW_ETA)
 
     for t in range(1, cfg.max_phases + 1):
-        lengths = w / chat
-        routed = shortest_fn(lengths)
-        lb = sum(d * routed[key][2] for key, d in commodities)
+        chosen, dist = oracle(w / chat)
+        # sequential sums in commodity order keep the float results fixed
+        lb = float(np.cumsum(demand * dist)[-1])
         best_lb = max(best_lb, lb)
-        load = np.zeros(m)
-        for key, d in commodities:
-            path, hop_idx = routed[key][0], routed[key][1]
-            counts[key][path] = counts[key].get(path, 0) + 1
-            load[hop_idx] += d
+        if len(pool) > len(counts):
+            pad = (0, len(pool) - len(counts))
+            counts, first = np.pad(counts, pad), np.pad(first, pad)
+        first[chosen[counts[chosen] == 0]] = t
+        counts[chosen] += 1
+        hops, size = pool.hops_of(chosen)
+        load = np.bincount(hops, weights=np.repeat(demand, size), minlength=m)
         load_sum += load
         ub = float((load_sum / chat).max() / t)
-        if best is None or ub < best[0]:
-            best = (ub, {key: dict(c) for key, c in counts.items()}, t)
-        if best[0] <= grow * best_lb:
-            return best[1], best[2], best_lb, t, True
+        if ub < best_ub:
+            best_ub, best_counts, best_t = ub, counts.copy(), t
+        if best_ub <= grow * best_lb:
+            return best_counts, first, best_t, best_lb, t, True
         w = w * np.exp(np.minimum(load / chat, 1000.0) * log_eta)
         w /= w.sum()
-    return best[1], best[2], best_lb, cfg.max_phases, False
+    return best_counts, first, best_t, best_lb, cfg.max_phases, False
 
 
-def _counts_to_dist(counts: Mapping[Path, int], denom: int) -> dict[Path, float]:
-    dist = {p: c / denom for p, c in counts.items()}
-    kept = {p: v for p, v in dist.items() if v >= PRUNE_BELOW}
-    return normalized(kept if kept else dist)
+def _distributions(pool: _PathPool, counts: np.ndarray, first: np.ndarray,
+                   denom: int, num_commodities: int) -> list[dict[Path, float]]:
+    """Per commodity, its paths' shares of the best iterate.
+
+    Paths are listed in the order they were first chosen, so ``normalized``
+    sums the shares in a fixed order.  Shares below PRUNE_BELOW are dropped
+    unless nothing else is left.
+    """
+    used = np.flatnonzero(counts)
+    owner = np.asarray(pool.owner)[used]
+    order = used[np.lexsort((first[used], owner))]
+    dists: list[dict[Path, float]] = [{} for _ in range(num_commodities)]
+    for i, c in zip(order.tolist(), counts[order].tolist()):
+        dists[pool.owner[i]][pool.paths[i]] = c / denom
+    out = []
+    for dist in dists:
+        kept = {p: v for p, v in dist.items() if v >= PRUNE_BELOW}
+        out.append(normalized(kept if kept else dist))
+    return out
+
+
+def _certified(topo, scheme, tm, t0, iterations, lower_bound, converged,
+               cfg: MwConfig) -> FlowSolution:
+    """The solution, or PhaseLimitError carrying it if the loop stopped
+    before certifying the gap."""
+    sol = _solution(topo, scheme, tm, t0, iterations, lower_bound)
+    if not converged:
+        raise PhaseLimitError(
+            f"no certificate after {cfg.max_phases} phases "
+            f"(ub={sol.max_congestion:.4g})", sol)
+    return sol
+
+
+def _switch_edges(topo: Topology) -> tuple[list[tuple[str, str]], np.ndarray]:
+    edges = sorted(graphops.weight_lengths(topo))
+    return edges, np.array([topo.edges[e].capacity for e in edges])
 
 
 def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
@@ -210,42 +301,44 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
         return _solution(topo, scheme, tm, t0, 0, 0.0)
 
     d_ref = sum(demands.values())
-    commodities = sorted((key, d / d_ref) for key, d in demands.items())
-    switch_edges = sorted(graphops.weight_lengths(topo))
+    keys = sorted(demands)
+    commodity = {key: j for j, key in enumerate(keys)}
+    demand = np.array([demands[key] / d_ref for key in keys])
+    switch_edges, cap = _switch_edges(topo)
     edge_index = {e: i for i, e in enumerate(switch_edges)}
     adj = graphops.switch_graph(topo)
-    sources = sorted({s for (s, _) in demands})
-    targets = {s: sorted(d for (s2, d) in demands if s2 == s) for s in sources}
-    hops_cache: dict[Path, np.ndarray] = {}
+    # sources and their targets in sorted order visit the commodities in
+    # commodity order
+    sources = sorted({s for (s, _) in keys})
+    targets = {s: [d for (s2, d) in keys if s2 == s] for s in sources}
+    pool = _PathPool()
+    known: dict[Path, int] = {}
 
-    def shortest_fn(lengths):
-        lmap = dict(zip(switch_edges, lengths))
-        out = {}
+    def oracle(lengths):
+        lmap = dict(zip(switch_edges, lengths.tolist()))
+        chosen, dists = [], []
         for s in sources:
             dist, best = graphops.dijkstra(adj, lmap, s)
             for d in targets[s]:
                 path = best[d]
-                hops = hops_cache.get(path)
-                if hops is None:
-                    hops = np.array([edge_index[h] for h in path_edges(path)])
-                    hops_cache[path] = hops
-                out[(s, d)] = (path, hops, dist[d])
-        return out
+                k = known.get(path)
+                if k is None:
+                    k = known[path] = pool.add(
+                        commodity[(s, d)], path,
+                        [edge_index[h] for h in path_edges(path)])
+                chosen.append(k)
+                dists.append(dist[d])
+        return np.array(chosen, dtype=np.intp), np.array(dists)
 
-    counts, denom, lb, iters, converged = _mw_core(
-        topo, commodities, shortest_fn, cfg, switch_edges)
+    counts, first, denom, lb, iters, converged = _mw_core(
+        cap, demand, pool, oracle, cfg)
 
+    dists = _distributions(pool, counts, first, denom, len(keys))
     for pair, sw_key in pair_sw.items():
-        dist = _counts_to_dist(counts[sw_key], denom)
         scheme[pair] = normalized({attach_stubs(topo, *pair, p): v
-                                   for p, v in dist.items()})
-    c_ref = max(topo.edges[e].capacity for e in switch_edges)
-    sol = _solution(topo, scheme, tm, t0, iters, lb * d_ref / c_ref)
-    if not converged:
-        raise PhaseLimitError(
-            f"no certificate after {cfg.max_phases} phases "
-            f"(ub={sol.max_congestion:.4g})", sol)
-    return sol
+                                   for p, v in dists[commodity[sw_key]].items()})
+    return _certified(topo, scheme, tm, t0, iters,
+                      lb * d_ref / float(cap.max()), converged, cfg)
 
 
 def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
@@ -258,7 +351,6 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     """
     t0 = time.perf_counter()
     scheme: Scheme = {}
-    commodities: list[tuple] = []
     missing = []
     d_ref = 0.0
     for pair, dist in base.items():
@@ -278,48 +370,40 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
         return _solution(topo, scheme, tm, t0, 0, 0.0)
 
     # Strip host stubs for length computation: stubs are shared by all of a
-    # pair's paths, so they never affect the argmin.  Path lengths for every
+    # pair's paths, so they never affect the choice.  Path lengths for every
     # candidate are computed in one (paths x edges) matrix product.
-    switch_edges = sorted(graphops.weight_lengths(topo))
+    switch_edges, cap = _switch_edges(topo)
     edge_index = {e: i for i, e in enumerate(switch_edges)}
     pairs = sorted(pair for pair in base if tm.get(*pair) > 0)
-    flat_paths: list[Path] = []
-    flat_hops: list[np.ndarray] = []
-    group: list[tuple[int, int]] = []  # [start, stop) per pair
-    for pair in pairs:
-        start = len(flat_paths)
+    demand = np.array([tm.get(*pair) / d_ref for pair in pairs])
+    pool = _PathPool()
+    for j, pair in enumerate(pairs):
         for path in sorted(base[pair]):
-            hops = np.array([edge_index[h] for h in path_edges(path)
-                             if h in edge_index], dtype=int)
-            flat_paths.append(path)
-            flat_hops.append(hops)
-        group.append((start, len(flat_paths)))
-    incidence = np.zeros((len(flat_paths), len(switch_edges)))
-    for i, hops in enumerate(flat_hops):
-        incidence[i, hops] = 1.0
+            pool.add(j, path, [edge_index[h] for h in path_edges(path)
+                               if h in edge_index])
+    hops, _, size = pool.flat()
+    incidence = np.zeros((len(pool), len(switch_edges)))
+    incidence[np.repeat(np.arange(len(pool)), size), hops] = 1.0
+    group_size = np.bincount(pool.owner)
+    starts = np.cumsum(group_size) - group_size
+    index = np.arange(len(pool))
 
-    commodities = sorted((pair, tm.get(*pair) / d_ref) for pair in pairs)
-
-    def shortest_fn(lengths):
+    def oracle(lengths):
         plens = incidence @ lengths
-        out = {}
-        for pair, (start, stop) in zip(pairs, group):
-            k = start + int(np.argmin(plens[start:stop]))
-            out[pair] = (flat_paths[k], flat_hops[k], float(plens[k]))
-        return out
+        at_min = plens == np.repeat(np.minimum.reduceat(plens, starts),
+                                    group_size)
+        # first shortest path of each pair, as np.argmin would pick
+        chosen = np.minimum.reduceat(np.where(at_min, index, len(pool)),
+                                     starts)
+        return chosen, plens[chosen]
 
-    counts, denom, lb, iters, converged = _mw_core(
-        topo, commodities, shortest_fn, cfg, switch_edges)
+    counts, first, denom, lb, iters, converged = _mw_core(
+        cap, demand, pool, oracle, cfg)
 
-    for pair in pairs:
-        scheme[pair] = _counts_to_dist(counts[pair], denom)
-    c_ref = max(topo.edges[e].capacity for e in switch_edges)
-    sol = _solution(topo, scheme, tm, t0, iters, lb * d_ref / c_ref)
-    if not converged:
-        raise PhaseLimitError(
-            f"no certificate after {cfg.max_phases} phases "
-            f"(ub={sol.max_congestion:.4g})", sol)
-    return sol
+    scheme.update(zip(pairs, _distributions(pool, counts, first, denom,
+                                            len(pairs))))
+    return _certified(topo, scheme, tm, t0, iters,
+                      lb * d_ref / float(cap.max()), converged, cfg)
 
 
 def demand_envelope(tms: Sequence[TrafficMatrix]) -> TrafficMatrix:

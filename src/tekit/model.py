@@ -380,9 +380,8 @@ def attach_stubs(topo: Topology, src: str, dst: str, switch_path: Path) -> Path:
 
 
 def format_scheme(scheme: Scheme) -> str:
-    """Canonical text form of a scheme; byte-identical for equal schemes."""
-    lines = []
-    for pair in sorted(scheme):
-        for path, prob in sorted(scheme[pair].items()):
-            lines.append(f"{pair[0]} {pair[1]} {prob!r} {'-'.join(path)}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form of a scheme, one line per path; byte-identical
+    for equal schemes."""
+    return "".join(f"{pair[0]} {pair[1]} {prob!r} {'-'.join(path)}\n"
+                   for pair in sorted(scheme)
+                   for path, prob in sorted(scheme[pair].items()))

@@ -34,7 +34,7 @@ from .baseline import spf
 from .demand import FlashConfig, flash_burst, flash_sink
 from .mcf import MwConfig, evaluate_scheme
 from .model import (AlgorithmKind, Path, Scheme, Topology, TopologyError,
-                    TrafficMatrix, normalized, path_edges)
+                    TrafficMatrix, churn, normalized, path_edges)
 
 _FAIL = 21  # rng stream tag
 
@@ -206,13 +206,20 @@ def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
 
 
 def recover_global(kind: AlgorithmKind, topo_minus_failed: Topology,
-                   predicted_tm: TrafficMatrix, cfg: SimConfig) -> Scheme:
-    """Recompute the whole algorithm on the reduced topology."""
+                   predicted_tm: TrafficMatrix, cfg: SimConfig,
+                   phase_limit_events: list[str] | None = None) -> Scheme:
+    """Recompute the whole algorithm on the reduced topology.  The
+    recomputation's phase-limit events are appended to
+    ``phase_limit_events`` when it is given."""
     driver = algorithms.SchemeDriver(topo_minus_failed, kind, [predicted_tm],
                                      algorithms.BuildConfig(
                                          budget=cfg.budget, ksp_k=cfg.ksp_k,
                                          mw=cfg.mw, seed=cfg.seed))
-    return driver.scheme_for(0, predicted_tm, predicted_tm, topo_minus_failed)
+    scheme = driver.scheme_for(0, predicted_tm, predicted_tm, topo_minus_failed)
+    if phase_limit_events is not None:
+        phase_limit_events.extend(f"global recovery: {ev}"
+                                  for ev in driver.phase_limit_events)
+    return scheme
 
 
 def _propagate(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
@@ -317,20 +324,19 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
         scheme = driver.scheme_for(t, ptm, atm, topo_t or topo)
         installed = driver.installed
         churn_tl.append(0 if prev_installed is None
-                        else _path_churn(prev_installed, installed))
+                        else churn(prev_installed, installed))
         paths_tl.append(sum(len(d) for d in installed.values()))
         prev_installed = installed
 
-        if failed and kind.tag != "optimalmcf":
-            if cfg.recovery == "local":
+        if failed and kind.tag != "optimalmcf" and cfg.recovery != "none":
+            label = f"{kind.name} {cfg.recovery} recovery tm{t}"
+            if cfg.recovery == "global" and topo_t is not None:
+                scheme = driver.timed(label, lambda: recover_global(
+                    kind, topo_t, ptm, cfg, driver.phase_limit_events))
+            else:
                 base = driver.reweight_source(scheme)
-                scheme = recover_local(base, failed, kind, topo, ptm, cfg.mw)
-            elif cfg.recovery == "global":
-                if topo_t is not None:
-                    scheme = recover_global(kind, topo_t, ptm, cfg)
-                else:
-                    base = driver.reweight_source(scheme)
-                    scheme = recover_local(base, failed, kind, topo, ptm, cfg.mw)
+                scheme = driver.timed(label, lambda: recover_local(
+                    base, failed, kind, topo, ptm, cfg.mw))
 
         if not flash_on:
             metrics = _propagate(topo, scheme, atm, dead)
@@ -350,8 +356,10 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                     lag = max(0, step - cfg.flash_lag)
                     observed = flash_burst(atm, cfg.flash, lag, sink)
                     live = _surviving(driver.reweight_source(scheme), dead)
-                    step_scheme = algorithms.reweight(topo, live, observed,
-                                                      cfg.mw)
+                    step_scheme = driver.timed(
+                        f"{kind.name} flash reweight tm{t} step{step}",
+                        lambda: algorithms.reweight(topo, live, observed,
+                                                    cfg.mw))
             demand = flash_burst(atm, cfg.flash, step, sink)
             tm_steps.append(_propagate(topo, step_scheme, demand, dead))
         steps_out.append(tm_steps)
@@ -359,13 +367,6 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     return SimReport(kind.name, topo.name, num_tms, cfg.steps_per_tm,
                      steps_out, failures, churn_tl, paths_tl,
                      driver.solve_times, driver.phase_limit_events)
-
-
-def _path_churn(prev: Scheme, cur: Scheme) -> int:
-    total = 0
-    for pair in set(prev) | set(cur):
-        total += len(set(prev.get(pair, ())) ^ set(cur.get(pair, ())))
-    return total
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from tekit import fileio
-from tekit.cli import main
+from tekit.cli import _workers, main
+from tekit.model import ALGORITHM_NAMES, AlgorithmKind
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +176,66 @@ def test_run_dir_name_embeds_parameters(topo_path, demand_files, tmp_path):
     name = run_dir.name
     for token in ("abilene", "S1.0", "phi0", "b2", "seed9"):
         assert token in name
+
+
+ADAPTIVE = [n for n in ALGORITHM_NAMES
+            if AlgorithmKind.parse(n).category != "oblivious"]
+
+
+@pytest.mark.parametrize("name", ADAPTIVE)
+def test_run_strict_phase_limit_exits_3_for_every_adaptive_kind(
+        name, topo_path, demand_files, tmp_path, capsys):
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", name, "--steps", "2", "--max-phases", "2",
+               "--strict", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "phase limit" in capsys.readouterr().err
+    (summary,) = (tmp_path / "r").glob(f"*/{name}.summary.json")
+    assert json.loads(summary.read_text())["phase_limit_events"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_run_bad_parallel_setting_exits_2(value, topo_path, demand_files,
+                                          tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TEKIT_PARALLEL", value)
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", "spf,ecmp", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "TEKIT_PARALLEL" in capsys.readouterr().err
+
+
+def test_parallel_workers_are_capped(monkeypatch):
+    monkeypatch.setenv("TEKIT_PARALLEL", "3")
+    assert _workers(2) == min(2, os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _workers(5) == 1
+
+
+def test_run_parallel_matches_serial(topo_path, demand_files, tmp_path,
+                                     monkeypatch):
+    args = ["run", "--topo", topo_path,
+            "--tms", f"{demand_files}.actual.tms",
+            "--pred", f"{demand_files}.predicted.tms",
+            "--algos", "spf,ecmp", "--steps", "2", "--seed", "2"]
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setenv("TEKIT_PARALLEL", "3")
+    assert main(args + ["--out", str(tmp_path / "par")]) == 0
+    (serial,) = (tmp_path / "serial").iterdir()
+    (par,) = (tmp_path / "par").iterdir()
+    for p in sorted(serial.iterdir()):
+        assert p.read_bytes() == (par / p.name).read_bytes(), p.name
+
+
+def test_gen_demands_disconnected_topology_exits_2(tmp_path, capsys):
+    topo = tmp_path / "split.topo"
+    topo.write_text("node s1 switch\nnode s2 switch\nnode h1 host\n"
+                    "node h2 host\nlink h1 s1 cap=10bps\nlink h2 s2 cap=10bps\n")
+    rc = main(["gen-demands", "--topo", str(topo), "--num-tms", "1",
+               "--out", str(tmp_path / "g")])
+    assert rc == 2
+    assert "disconnected" in capsys.readouterr().err

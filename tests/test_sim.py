@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import tekit
 from tekit import (AlgorithmKind, SimConfig, failure_schedule, max_min_allocate,
                    metrics_rollup, recover_global, recover_local, simulate)
 from tekit.demand import FlashConfig, GravityState, gravity_tm, mh_step
+from tekit.mcf import MwConfig
 from tekit.sim import InfeasibleFailureError, report_to_csv
 
 from conftest import build_topology, tm_of
@@ -309,3 +312,38 @@ def test_report_csv_per_tm_rows(line4):
     for metric in ("throughput_fraction", "max_congestion", "churn"):
         assert f"0,{metric}" in csv
         assert f"1,{metric}" in csv
+
+
+def test_recovery_and_flash_phase_limits_are_reported(abilene):
+    """Every re-solve that stops uncertified leaves a phase-limit event."""
+    state = GravityState.initial(abilene.hosts, seed=12)
+    tm = gravity_tm(state, 6e9)
+    strict = MwConfig(max_phases=2)
+    failed = SimConfig(steps_per_tm=2, recovery="local", mw=strict,
+                       explicit_failures=[(("s2", "s12"),)])
+    rep = simulate(abilene, "semimcfraecke", [tm], [tm], failed)
+    assert any("local recovery tm0" in ev for ev in rep.phase_limit_events)
+    rep = simulate(abilene, "mcf", [tm], [tm],
+                   replace(failed, recovery="global"))
+    assert any(ev.startswith("global recovery: ")
+               for ev in rep.phase_limit_events)
+    flash = SimConfig(steps_per_tm=3, recovery="local", mw=strict,
+                      flash=FlashConfig(beta=4.0, sink_seed=3),
+                      flash_recovery_period=1, flash_lag=0)
+    rep = simulate(abilene, "semimcfraecke", [tm], [tm], flash)
+    assert any("flash reweight tm0 step1" in ev
+               for ev in rep.phase_limit_events)
+
+
+def test_reweight_phase_limit_carries_stranded_pairs(abilene):
+    from tekit.algorithms import reweight
+    from tekit.mcf import PhaseLimitError
+    state = GravityState.initial(abilene.hosts, seed=12)
+    tm = gravity_tm(state, 6e9)
+    base = tekit.ksp(abilene, tekit.KspConfig(2))
+    base[("h1", "h2")] = {}
+    with pytest.raises(PhaseLimitError) as info:
+        reweight(abilene, base, tm, MwConfig(max_phases=2))
+    scheme = info.value.solution.scheme
+    assert scheme[("h1", "h2")] == {}
+    assert set(scheme) == set(base)
