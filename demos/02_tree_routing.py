@@ -6,6 +6,9 @@ switch pair into a physical path, then builds the full tree distribution and
 the routing scheme it induces.
 """
 
+import logging
+import sys
+
 from tekit import RaeckeConfig, graphops, load_bundled_topology
 from tekit.raecke import (frt_tree, paths_from_distribution,
                           raecke_distribution, stretch)
@@ -25,8 +28,9 @@ print("\nraw tree walk s1 -> s8:   ", " -> ".join(walk))
 print("loop-shortcut to a path:  ", " -> ".join(graphops.shortcut(walk)))
 
 print("\nbuilding the tree distribution (iteration trace):")
-dist = raecke_distribution(topo, RaeckeConfig(seed=0),
-                           trace=lambda msg: print("  " + msg))
+logging.basicConfig(stream=sys.stdout, format="  %(message)s")
+logging.getLogger("tekit.raecke").setLevel(logging.DEBUG)
+dist = raecke_distribution(topo, RaeckeConfig(seed=0))
 print(f"-> {len(dist.trees)} distinct trees")
 for i, (t, p) in enumerate(dist.trees):
     print(f"   tree {i}: probability {p:.3f}")

@@ -34,7 +34,6 @@ class BuildConfig:
     ksp_k: int = 4
     mw: MwConfig = MwConfig()
     seed: int = 0
-    trace: object = None  # callable(str) for per-iteration solver traces
 
 
 def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
@@ -48,8 +47,7 @@ def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
     if tag == "vlb":
         return baseline.vlb(topo)
     if tag == "raecke":
-        dist = raecke.raecke_distribution(topo, RaeckeConfig(seed=cfg.seed),
-                                          trace=cfg.trace)
+        dist = raecke.raecke_distribution(topo, RaeckeConfig(seed=cfg.seed))
         return raecke.paths_from_distribution(dist, topo)
     raise ValueError(f"not an oblivious algorithm: {tag}")
 
@@ -85,7 +83,11 @@ def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
 
 
 class SchemeDriver:
-    """Per-run algorithm state: installed paths plus the update rule."""
+    """Per-run algorithm state: installed paths plus the update rule.
+
+    ``base`` holds the paths an oblivious or semi-oblivious kind keeps for
+    the whole run (None for conscious kinds, which solve per matrix).
+    """
 
     def __init__(self, topo: Topology, kind: AlgorithmKind,
                  predicted_tms: Sequence[TrafficMatrix], cfg: BuildConfig):
@@ -95,35 +97,28 @@ class SchemeDriver:
         self.solve_times: list[tuple[str, float]] = []
         self.phase_limit_events: list[str] = []
         self.base: Scheme | None = None
-        self.fixed: Scheme | None = None
         self.installed: Scheme = {}
 
-        tag = kind.tag
+        name, tag = kind.name, kind.tag
+        label = f"{name} base"
         if kind.category == "oblivious":
-            scheme = self.timed(f"{kind.name} build",
-                                lambda: oblivious_scheme(tag, topo, cfg))
-            self.fixed = self._budgeted(scheme)
-            self.installed = self.fixed
+            label = f"{name} build"
+            builder = lambda: oblivious_scheme(tag, topo, cfg)
+        elif tag == "semimcf" and kind.base == "mcf":
+            if not predicted_tms:
+                raise ValueError("semimcfmcf needs a predicted matrix")
+            builder = lambda: mcf_mw(topo, predicted_tms[0], cfg.mw).scheme
         elif tag == "semimcf":
-            if kind.base == "mcf":
-                if not predicted_tms:
-                    raise ValueError("semimcfmcf needs a predicted matrix")
-                builder = lambda: self._solve(topo, predicted_tms[0]).scheme
-            else:
-                builder = lambda: oblivious_scheme(kind.base, topo, cfg)
-            self.base = self._budgeted(self.timed(f"{kind.name} base", builder))
-            self.installed = self.base
+            builder = lambda: oblivious_scheme(kind.base, topo, cfg)
         elif tag == "semimcfmcfenv":
-            self.base = self._budgeted(self.timed(
-                f"{kind.name} base",
-                lambda: semi_mcf_env(topo, list(predicted_tms), cfg.mw)))
-            self.installed = self.base
+            builder = lambda: semi_mcf_env(topo, list(predicted_tms), cfg.mw)
         elif tag == "semimcfmcfftenv":
-            self.base = self._budgeted(self.timed(
-                f"{kind.name} base",
-                lambda: semi_mcf_ft_env(topo, list(predicted_tms), None, cfg.mw)))
-            self.installed = self.base
-        # conscious kinds (mcf, mw, optimalmcf) build per matrix
+            builder = lambda: semi_mcf_ft_env(topo, list(predicted_tms), None,
+                                              cfg.mw)
+        else:  # conscious kinds (mcf, mw, optimalmcf) build per matrix
+            return
+        self.base = self._budgeted(self.timed(label, builder))
+        self.installed = self.base
 
     def timed(self, label: str, fn):
         """Run one solve, recording its wall time and, if the solver hit
@@ -142,42 +137,37 @@ class SchemeDriver:
             return scheme
         return prune_to_budget(scheme, self.cfg.budget)
 
-    def _solve(self, topo: Topology, tm: TrafficMatrix):
-        return mcf_mw(topo, tm, self.cfg.mw)
-
     def scheme_for(self, t: int, predicted: TrafficMatrix,
                    actual: TrafficMatrix, topo_current: Topology) -> Scheme:
         """The scheme to install for matrix index t, before failure
         recovery.  Updates ``installed`` for churn accounting."""
         kind = self.kind
         if kind.category == "oblivious":
-            return self.fixed
+            return self.base
         if kind.category == "semi-oblivious":
             self.installed = self.base
             return self.timed(f"{kind.name} reweight tm{t}",
                               lambda: reweight(self.topo, self.base,
                                                predicted, self.cfg.mw))
         if kind.tag == "optimalmcf":
-            scheme = self._budgeted(self.timed(
-                f"{kind.name} solve tm{t}",
-                lambda: self._solve(topo_current, actual).scheme))
+            topo, tm = topo_current, actual
         else:  # mcf / mw
-            scheme = self._budgeted(self.timed(
-                f"{kind.name} solve tm{t}",
-                lambda: self._solve(self.topo, predicted).scheme))
-        self.installed = scheme
-        return scheme
+            topo, tm = self.topo, predicted
+        self.installed = self.solve_conscious(topo, tm,
+                                              f"{kind.name} solve tm{t}")
+        return self.installed
 
     def reweight_source(self, current: Scheme) -> Scheme:
-        """What local recovery should prune: the installed base for
-        fixed-path kinds, the current scheme otherwise."""
+        """What local recovery should prune: the kept base for oblivious
+        and semi-oblivious kinds, the current scheme otherwise."""
         return self.base if self.base is not None else current
 
-    def solve_conscious(self, topo_current: Topology,
-                        tm: TrafficMatrix) -> Scheme:
+    def solve_conscious(self, topo_current: Topology, tm: TrafficMatrix,
+                        label: str) -> Scheme:
+        """Paths and rates solved afresh for ``tm`` on ``topo_current``,
+        budgeted, and timed under ``label``."""
         return self._budgeted(self.timed(
-            f"{self.kind.name} flash solve",
-            lambda: self._solve(topo_current, tm).scheme))
+            label, lambda: mcf_mw(topo_current, tm, self.cfg.mw).scheme))
 
 
 def make_scheme(name: str, topo: Topology, tm: TrafficMatrix | None = None,
@@ -187,7 +177,7 @@ def make_scheme(name: str, topo: Topology, tm: TrafficMatrix | None = None,
     tms = [tm] if tm is not None else []
     driver = SchemeDriver(topo, kind, tms, cfg)
     if kind.category == "oblivious":
-        return driver.fixed
+        return driver.base
     if tm is None:
         raise ValueError(f"{name} needs a traffic matrix")
     return driver.scheme_for(0, tm, tm, topo)

@@ -6,7 +6,8 @@ Two subcommands::
               --algos spf,semimcfraecke [--budget K] [--scale S] \
               [--fail-num PHI] [--recovery none|local|global] \
               [--flash-beta B] [--flash-lag D] [--flash-recovery-period P] \
-              [--seed N] [--steps N] [--out DIR] [--strict] [--timings]
+              [--seed N] [--steps N] [--out DIR] [--strict] [--timings] \
+              [--verbose]
 
     tekit gen-demands --topo T.topo --num-tms N [--scale S] \
               [--prediction-error E] [--flash-beta B] [--seed N] \
@@ -16,8 +17,9 @@ Two subcommands::
 cross-algorithm comparison table into an output directory whose name embeds
 topology, scale, failure count, budget and seed.  All numeric output is
 deterministic for a fixed seed; wall-clock timings are only written with
---timings.  Exit codes: 0 success, 2 bad input, 3 an internal solver limit
-was hit and --strict was given.
+--timings.  --verbose sends the ``tekit`` loggers' records (Raecke
+iterations, solver phase-limit notes) to stderr.  Exit codes: 0 success,
+2 bad input, 3 an internal solver limit was hit and --strict was given.
 
 Environment overrides: TEKIT_OUT_DIR (base output directory),
 TEKIT_PARALLEL (worker processes across algorithm runs; an integer >= 1,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,8 +43,32 @@ from .model import AlgorithmKind
 from .sim import SimConfig
 
 
+_log = logging.getLogger("tekit.cli")
+_HANDLER = "tekit.cli stderr"
+
+
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
+
+
+def _log_to_stderr(verbose: bool) -> None:
+    """With ``verbose``, print every ``tekit`` log record on the current
+    stderr as its bare message; without, undo that.  Repeated calls replace
+    the handler instead of adding one, so runs in one process and forked
+    pool workers (set up again by the pool initializer) print each record
+    once."""
+    pkg = logging.getLogger("tekit")
+    ours = [h for h in pkg.handlers if h.get_name() == _HANDLER]
+    for handler in ours:
+        pkg.removeHandler(handler)
+    if verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.set_name(_HANDLER)
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        pkg.addHandler(handler)
+        pkg.setLevel(logging.DEBUG)
+    elif ours:
+        pkg.setLevel(logging.NOTSET)
 
 
 def _parse_args(argv):
@@ -77,7 +104,8 @@ def _parse_args(argv):
     run.add_argument("--timings", action="store_true",
                      help="include wall-clock timings in the summary "
                           "(breaks byte-reproducibility)")
-    run.add_argument("--verbose", action="store_true")
+    run.add_argument("--verbose", action="store_true",
+                     help="log Raecke iterations and solver notes to stderr")
 
     gen = sub.add_parser("gen-demands", help="generate demand sequences")
     gen.add_argument("--topo", required=True)
@@ -155,13 +183,11 @@ def cmd_run(args) -> int:
 
     flash = (FlashConfig(beta=args.flash_beta, sink_seed=args.seed)
              if args.flash_beta > 0 else None)
-    trace = ((lambda msg: print(msg, file=sys.stderr)) if args.verbose
-             else None)
     cfg = SimConfig(steps_per_tm=args.steps, phi=args.fail_num,
                     budget=args.budget, recovery=args.recovery, flash=flash,
                     flash_lag=args.flash_lag,
                     flash_recovery_period=args.flash_recovery_period,
-                    seed=args.seed, mw=mw, trace=trace)
+                    seed=args.seed, mw=mw)
 
     base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
     run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
@@ -170,7 +196,9 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_log_to_stderr,
+                                 initargs=(args.verbose,)) as pool:
             futures = [pool.submit(_run_one, topo, n, actual, predicted, cfg)
                        for n in names]
             results = [f.result() for f in futures]
@@ -204,9 +232,8 @@ def cmd_run(args) -> int:
             json.dumps(blob, indent=2, sort_keys=True) + "\n")
         if report.phase_limit_events:
             hit_limit = True
-            if args.verbose:
-                for ev in report.phase_limit_events:
-                    print(f"note: {ev}", file=sys.stderr)
+            for ev in report.phase_limit_events:
+                _log.info("note: %s", ev)
 
     lines = ["algorithm,throughput_fraction,congestion_loss_fraction,"
              "failure_loss_fraction,mean_max_congestion,peak_congestion,"
@@ -264,7 +291,11 @@ def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
         if args.command == "run":
-            return cmd_run(args)
+            _log_to_stderr(args.verbose)
+            try:
+                return cmd_run(args)
+            finally:
+                _log_to_stderr(False)
         return cmd_gen_demands(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,9 +75,6 @@ class GravityState:
         return GravityState(hosts, tuple(float(x) for x in w),
                             pareto_shape, pareto_scale, seed, 0)
 
-    def weight_of(self, host: str) -> float:
-        return self.weights[self.hosts.index(host)]
-
 
 def gravity_tm(state: GravityState, total: float) -> TrafficMatrix:
     """Distribute ``total`` bits/s over host pairs proportional to w_i*w_j."""

@@ -73,6 +73,8 @@ def load_topology(path: str | FsPath) -> Topology:
 
 
 def format_topology(topo: Topology) -> str:
+    """The topology file text; capacities and weights are written with
+    ``repr`` so they parse back to the same floats."""
     lines = [f"# topology {topo.name}"]
     for n in sorted(topo.nodes):
         lines.append(f"node {n} {topo.nodes[n]}")
@@ -82,7 +84,8 @@ def format_topology(topo: Topology) -> str:
         if key in seen:
             continue
         seen.add(key)
-        lines.append(f"link {key[0]} {key[1]} cap={e.capacity:g}bps weight={e.weight:g}")
+        lines.append(f"link {key[0]} {key[1]} cap={float(e.capacity)!r}bps "
+                     f"weight={float(e.weight)!r}")
     return "\n".join(lines) + "\n"
 
 

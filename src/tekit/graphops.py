@@ -124,7 +124,8 @@ def k_shortest_paths(adj, lengths: Lengths, source: str, target: str,
     if k < 1:
         raise ValueError("k must be >= 1")
     first = shortest_path(adj, lengths, source, target)
-    found: list[tuple[float, int, Path]] = [(_cost(lengths, first), len(first), first)]
+    found: list[tuple[float, int, Path]] = [
+        (path_cost(lengths, first), len(first), first)]
     candidates: list[tuple[float, int, Path]] = []
     seen_candidates = {first}
 
@@ -150,20 +151,16 @@ def k_shortest_paths(adj, lengths: Lengths, source: str, target: str,
             candidate = root[:-1] + spur_path
             if candidate not in seen_candidates:
                 seen_candidates.add(candidate)
-                heapq.heappush(candidates,
-                               (_cost(lengths, candidate), len(candidate), candidate))
+                heapq.heappush(candidates, (path_cost(lengths, candidate),
+                                            len(candidate), candidate))
         if not candidates:
             break
         found.append(heapq.heappop(candidates))
     return [p for (_, _, p) in found]
 
 
-def _cost(lengths: Lengths, path: Path) -> float:
-    return sum(lengths[(path[i], path[i + 1])] for i in range(len(path) - 1))
-
-
 def path_cost(lengths: Lengths, path: Path) -> float:
-    return _cost(lengths, path)
+    return sum(lengths[(path[i], path[i + 1])] for i in range(len(path) - 1))
 
 
 def shortcut(path: Path) -> Path:

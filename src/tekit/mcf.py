@@ -47,11 +47,6 @@ from .baseline import spf
 from .model import (Path, Scheme, Topology, TopologyError, TrafficMatrix,
                     attach_stubs, format_scheme, normalized, path_edges)
 
-#: Paths carrying less than this probability are dropped and the rest
-#: renormalized; keeps emitted schemes close to one path per pair when the
-#: optimum is concentrated.
-PRUNE_BELOW = 1e-6
-
 
 class PhaseLimitError(RuntimeError):
     """Solver hit max_phases before certifying the requested gap.
@@ -91,7 +86,6 @@ class MwConfig:
 
     accuracy: float = 0.05
     max_phases: int = 5000
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.accuracy <= 0.5):
@@ -237,8 +231,7 @@ def _distributions(pool: _PathPool, counts: np.ndarray, first: np.ndarray,
     """Per commodity, its paths' shares of the best iterate.
 
     Paths are listed in the order they were first chosen, so ``normalized``
-    sums the shares in a fixed order.  Shares below PRUNE_BELOW are dropped
-    unless nothing else is left.
+    sums the shares in a fixed order.
     """
     used = np.flatnonzero(counts)
     owner = np.asarray(pool.owner)[used]
@@ -246,11 +239,7 @@ def _distributions(pool: _PathPool, counts: np.ndarray, first: np.ndarray,
     dists: list[dict[Path, float]] = [{} for _ in range(num_commodities)]
     for i, c in zip(order.tolist(), counts[order].tolist()):
         dists[pool.owner[i]][pool.paths[i]] = c / denom
-    out = []
-    for dist in dists:
-        kept = {p: v for p, v in dist.items() if v >= PRUNE_BELOW}
-        out.append(normalized(kept if kept else dist))
-    return out
+    return [normalized(dist) for dist in dists]
 
 
 def _certified(topo, scheme, tm, t0, iterations, lower_bound, converged,

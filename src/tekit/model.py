@@ -207,9 +207,6 @@ class TrafficMatrix:
     def scaled(self, factor: float) -> "TrafficMatrix":
         return TrafficMatrix(self.hosts, self.rates * factor)
 
-    def with_rates(self, rates: np.ndarray) -> "TrafficMatrix":
-        return TrafficMatrix(self.hosts, rates)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, TrafficMatrix) and self.hosts == other.hosts
                 and np.array_equal(self.rates, other.rates))
@@ -277,18 +274,6 @@ class AlgorithmKind:
 
 
 # -- Scheme operations ---------------------------------------------------------
-
-def sort_key(path: Path, cost: float | None = None):
-    """Canonical path ordering: (cost, hop count, node sequence).
-
-    Used for every tie-break in the package so results are reproducible
-    across platforms.  With unit latency weights cost equals hop count and
-    this reduces to (cost, node sequence).
-    """
-    if cost is None:
-        return (len(path), path)
-    return (cost, len(path), path)
-
 
 def normalized(dist: Mapping[Path, float]) -> dict[Path, float]:
     """Rescale a path distribution to sum to exactly 1, dropping zeros."""

@@ -20,10 +20,11 @@ leans on so later rounds route around them.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from . import graphops
 from .model import Path, Scheme, Topology, attach_stubs, normalized
 
 Link = tuple[str, str]  # undirected switch link, endpoints sorted
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,6 @@ def _tree_utilization(tree: RoutingTree, topo: Topology) -> dict[Link, float]:
 
 
 def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
-                        trace: Callable[[str], None] | None = None,
                         ) -> TreeDistribution:
     """Iteratively build a probability distribution over routing trees.
 
@@ -279,7 +281,8 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
 
     Trees that route every pair identically are merged by summing their
     weights, so a graph with a single possible decomposition yields one
-    tree with probability 1.
+    tree with probability 1.  Each round is logged at DEBUG level on the
+    ``tekit.raecke`` logger.
     """
     if len(topo.switches) == 1:
         tree = frt_tree(topo, {}, [cfg.seed, 0])
@@ -312,9 +315,8 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
             boost = factor_base ** (u / u_max)
             lengths[(a, b)] *= boost
             lengths[(b, a)] *= boost
-        if trace is not None:
-            trace(f"iteration {i}: u_max={u_max:.6g} argmax={argmax} "
-                  f"mass={mass:.6g} trees={len(order)}")
+        _log.debug("iteration %d: u_max=%.6g argmax=%s mass=%.6g trees=%d",
+                   i, u_max, argmax, mass, len(order))
         if mass > cfg.utilization_threshold:
             hit_limit = False
             break

@@ -44,21 +44,18 @@ class InfeasibleFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(algorithms.BuildConfig):
+    """Replay settings on top of the scheme-build ones (``budget``,
+    ``ksp_k``, ``mw``, ``seed``)."""
+
     steps_per_tm: int = 1000
     phi: int = 0
-    budget: int | None = None
     recovery: str = "none"  # none | local | global
     flash: FlashConfig | None = None
     flash_lag: int = 8
     flash_recovery_period: int = 200
-    seed: int = 0
-    mw: MwConfig = MwConfig()
-    ksp_k: int = 4
     #: optional per-TM override of failed links (used by case studies)
     explicit_failures: tuple | None = None
-    #: callable(str) receiving per-iteration solver traces
-    trace: object = None
 
     def __post_init__(self):
         if self.phi < 0:
@@ -212,9 +209,7 @@ def recover_global(kind: AlgorithmKind, topo_minus_failed: Topology,
     recomputation's phase-limit events are appended to
     ``phase_limit_events`` when it is given."""
     driver = algorithms.SchemeDriver(topo_minus_failed, kind, [predicted_tm],
-                                     algorithms.BuildConfig(
-                                         budget=cfg.budget, ksp_k=cfg.ksp_k,
-                                         mw=cfg.mw, seed=cfg.seed))
+                                     cfg)
     scheme = driver.scheme_for(0, predicted_tm, predicted_tm, topo_minus_failed)
     if phase_limit_events is not None:
         phase_limit_events.extend(f"global recovery: {ev}"
@@ -299,10 +294,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
         failures = failure_schedule(topo, cfg.phi, num_tms, cfg.seed,
                                     actual_tms[0] if actual_tms else None)
 
-    driver = algorithms.SchemeDriver(
-        topo, kind, list(predicted_tms),
-        algorithms.BuildConfig(budget=cfg.budget, ksp_k=cfg.ksp_k,
-                               mw=cfg.mw, seed=cfg.seed, trace=cfg.trace))
+    driver = algorithms.SchemeDriver(topo, kind, list(predicted_tms), cfg)
 
     steps_out: list[list[StepMetrics]] = []
     churn_tl: list[int] = []
@@ -351,7 +343,8 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                     and step % cfg.flash_recovery_period == 0):
                 if kind.tag == "optimalmcf":
                     current = flash_burst(atm, cfg.flash, step, sink)
-                    step_scheme = driver.solve_conscious(topo_t or topo, current)
+                    step_scheme = driver.solve_conscious(
+                        topo_t or topo, current, f"{kind.name} flash solve")
                 elif kind.category != "oblivious":
                     lag = max(0, step - cfg.flash_lag)
                     observed = flash_burst(atm, cfg.flash, lag, sink)

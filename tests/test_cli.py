@@ -1,9 +1,13 @@
 import json
+import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tekit
 from tekit import fileio
 from tekit.cli import _workers, main
 from tekit.model import ALGORITHM_NAMES, AlgorithmKind
@@ -239,3 +243,63 @@ def test_gen_demands_disconnected_topology_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "g")])
     assert rc == 2
     assert "disconnected" in capsys.readouterr().err
+
+
+def _run_cli(args, parallel):
+    """``python -m tekit.cli`` in a fresh process, so stderr is exactly what
+    a user sees (no test-runner logging handlers)."""
+    env = dict(os.environ, TEKIT_PARALLEL=str(parallel),
+               PYTHONPATH=str(Path(tekit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "tekit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def limited_run_args(topo_path, demand_files):
+    """A run whose Raecke builds log iterations and whose re-balances hit
+    the phase limit, so both kinds of log record are produced."""
+    return ["run", "--topo", topo_path,
+            "--tms", f"{demand_files}.actual.tms",
+            "--pred", f"{demand_files}.predicted.tms",
+            "--algos", "spf,raecke,semimcfraecke", "--steps", "2",
+            "--max-phases", "2", "--seed", "6"]
+
+
+def test_verbose_parallel_logs_the_serial_lines(limited_run_args, tmp_path):
+    serial = _run_cli(limited_run_args + ["--verbose", "--out",
+                                          str(tmp_path / "s")], 1)
+    par = _run_cli(limited_run_args + ["--verbose", "--out",
+                                       str(tmp_path / "p")], 2)
+    assert serial.returncode == 0, serial.stderr
+    assert par.returncode == 0, par.stderr
+    lines = serial.stderr.splitlines()
+    assert any(ln.startswith("iteration 0: u_max=") for ln in lines)
+    assert any(ln.startswith("note: semimcfraecke reweight tm0: ")
+               for ln in lines)
+    assert sorted(par.stderr.splitlines()) == sorted(lines)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_quiet_run_writes_nothing_to_stderr(parallel, limited_run_args,
+                                            tmp_path):
+    proc = _run_cli(limited_run_args + ["--out", str(tmp_path / "q")],
+                    parallel)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_verbose_handlers_do_not_pile_up(topo_path, demand_files, tmp_path,
+                                         capsys):
+    args = ["run", "--topo", topo_path,
+            "--tms", f"{demand_files}.actual.tms",
+            "--pred", f"{demand_files}.predicted.tms",
+            "--algos", "raecke", "--steps", "1", "--verbose",
+            "--out", str(tmp_path / "r")]
+    errs = []
+    for _ in range(3):
+        assert main(args) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("iteration 0: u_max=")
+    assert errs[0] == errs[1] == errs[2]
+    pkg = logging.getLogger("tekit")
+    assert pkg.handlers == [] and pkg.level == logging.NOTSET

@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tekit import TrafficMatrix
+from tekit import Edge, Topology, TrafficMatrix
 from tekit.fileio import (ParseError, bundled_topology_names, format_tm_line,
                           format_topology, load_bundled_topology,
                           parse_tm_line, parse_topology, read_tm_sequence,
@@ -33,6 +38,52 @@ def test_topology_round_trip():
     again = parse_topology(format_topology(topo), name="demo")
     assert again.nodes == topo.nodes
     assert again.edges == topo.edges
+
+
+def test_topology_round_trip_keeps_every_digit():
+    text = ("node s1 switch\nnode s2 switch\n"
+            "link s1 s2 cap=1234567.891bps weight=0.123456789\n")
+    topo = parse_topology(text)
+    again = parse_topology(format_topology(topo))
+    assert again.edges[("s1", "s2")].capacity == 1234567.891
+    assert again.edges[("s1", "s2")].weight == 0.123456789
+
+
+_caps = st.floats(min_value=1e-300, max_value=1e300)
+_weights = st.floats(min_value=0.0, max_value=1e300)
+
+
+@st.composite
+def _topologies(draw):
+    """Connected switch graphs (a random tree plus extra links) with one
+    host stub on some switches and arbitrary finite capacities/weights."""
+    n = draw(st.integers(1, 6))
+    switches = [f"s{i}" for i in range(n)]
+    links = {(switches[draw(st.integers(0, i - 1))], switches[i])
+             for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        a, b = draw(st.lists(st.sampled_from(switches), min_size=2,
+                             max_size=2, unique=True))
+        if (b, a) not in links:
+            links.add((a, b))
+    nodes = {sw: "switch" for sw in switches}
+    for sw in draw(st.lists(st.sampled_from(switches), unique=True)):
+        nodes[f"h_{sw}"] = "host"
+        links.add((f"h_{sw}", sw))
+    edges = []
+    for a, b in sorted(links):
+        cap, weight = draw(_caps), draw(_weights)
+        edges += [Edge(a, b, cap, weight), Edge(b, a, cap, weight)]
+    return Topology("prop", nodes, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(topo=_topologies())
+def test_topology_round_trip_property(topo):
+    again = parse_topology(format_topology(topo), name=topo.name)
+    assert again.nodes == topo.nodes
+    assert again.edges == topo.edges
+    assert format_topology(again) == format_topology(topo)
 
 
 @pytest.mark.parametrize("bad, msg", [
@@ -81,3 +132,31 @@ def test_tm_sequence_file_round_trip(tmp_path):
 def test_tm_line_wrong_arity():
     with pytest.raises(ParseError):
         parse_tm_line("1 2 3", ("a", "b"))
+
+
+@st.composite
+def _tm_sequences(draw):
+    n = draw(st.integers(1, 4))
+    hosts = tuple(f"h{i}" for i in range(n))
+    rate = st.floats(min_value=0.0, max_value=1e300)
+    tms = []
+    for _ in range(draw(st.integers(0, 3))):
+        rates = np.array(draw(st.lists(rate, min_size=n * n,
+                                       max_size=n * n))).reshape(n, n)
+        np.fill_diagonal(rates, 0.0)
+        tms.append(TrafficMatrix(hosts, rates))
+    return hosts, tms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_tm_sequences())
+def test_tm_sequence_round_trip_property(case):
+    hosts, tms = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.tms"
+        write_tm_sequence(path, tms)
+        back = read_tm_sequence(path, hosts)
+    assert len(back) == len(tms)
+    for tm, b in zip(tms, back):
+        assert b.hosts == tm.hosts
+        assert np.array_equal(b.rates, tm.rates)
