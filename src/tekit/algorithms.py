@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import baseline, raecke
-from .baseline import KspConfig
 from .mcf import (MwConfig, PhaseLimitError, mcf_mw, semi_mcf, semi_mcf_env,
                   semi_mcf_ft_env)
 from .model import (AlgorithmKind, Scheme, Topology, TrafficMatrix,
@@ -31,7 +30,6 @@ from .raecke import RaeckeConfig
 @dataclass(frozen=True)
 class BuildConfig:
     budget: int | None = None
-    ksp_k: int = 4
     mw: MwConfig = MwConfig()
     seed: int = 0
 
@@ -43,7 +41,7 @@ def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
     if tag == "ecmp":
         return baseline.ecmp(topo)
     if tag == "ksp":
-        return baseline.ksp(topo, KspConfig(cfg.ksp_k))
+        return baseline.ksp(topo)
     if tag == "vlb":
         return baseline.vlb(topo)
     if tag == "raecke":

@@ -1,9 +1,9 @@
 """Oblivious baseline path selectors: SPF, ECMP, KSP and load-balanced
 routing through random intermediates (VLB).
 
-All four consume only the topology (never demands), route on the switch
-subgraph under latency weights, and prepend/append the host stub edges to
-every emitted path.  Outputs are deterministic: equal-cost alternatives are
+All four consume only the topology (never demands) and route switch pairs
+on the switch subgraph under latency weights; ``model.lift`` attaches the
+host stubs.  Outputs are deterministic: equal-cost alternatives are
 resolved by hop count and then lexicographic node sequence.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphops
-from .model import Scheme, Topology, attach_stubs, normalized
+from .model import Path, Scheme, Topology, lift, normalized
 
 
 @dataclass(frozen=True)
@@ -26,41 +26,30 @@ class KspConfig:
             raise ValueError("k must be >= 1")
 
 
-def _pair_switches(topo: Topology):
-    for src in topo.hosts:
-        for dst in topo.hosts:
-            if src != dst:
-                yield (src, dst), topo.host_switch(src), topo.host_switch(dst)
+def _shortest(topo: Topology) -> dict[str, dict[str, Path]]:
+    """Shortest path from every switch to every switch, latency weights."""
+    adj = graphops.switch_graph(topo)
+    lengths = graphops.weight_lengths(topo)
+    return {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
+
+
+def _uniform(paths: list[Path]) -> dict[Path, float]:
+    share = 1.0 / len(paths)
+    return {p: share for p in paths}
 
 
 def spf(topo: Topology) -> Scheme:
     """One shortest path per pair, probability 1."""
-    adj = graphops.switch_graph(topo)
-    lengths = graphops.weight_lengths(topo)
-    best = {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
-    scheme: Scheme = {}
-    for pair, s_sw, d_sw in _pair_switches(topo):
-        path = best[s_sw][d_sw]
-        scheme[pair] = {attach_stubs(topo, *pair, path): 1.0}
-    return scheme
+    best = _shortest(topo)
+    return lift(topo, lambda s, d: {best[s][d]: 1.0})
 
 
 def ecmp(topo: Topology) -> Scheme:
     """Every minimum-cost simple path per pair, uniform probabilities."""
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    scheme: Scheme = {}
-    cache: dict[tuple[str, str], list] = {}
-    for pair, s_sw, d_sw in _pair_switches(topo):
-        if (s_sw, d_sw) not in cache:
-            if s_sw == d_sw:
-                cache[(s_sw, d_sw)] = [(s_sw,)]
-            else:
-                cache[(s_sw, d_sw)] = graphops.min_cost_paths(adj, lengths, s_sw, d_sw)
-        paths = cache[(s_sw, d_sw)]
-        share = 1.0 / len(paths)
-        scheme[pair] = {attach_stubs(topo, *pair, p): share for p in paths}
-    return scheme
+    return lift(topo, lambda s, d: _uniform(
+        graphops.min_cost_paths(adj, lengths, s, d)))
 
 
 def ksp(topo: Topology, cfg: KspConfig = KspConfig()) -> Scheme:
@@ -70,19 +59,8 @@ def ksp(topo: Topology, cfg: KspConfig = KspConfig()) -> Scheme:
     """
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    scheme: Scheme = {}
-    cache: dict[tuple[str, str], list] = {}
-    for pair, s_sw, d_sw in _pair_switches(topo):
-        if (s_sw, d_sw) not in cache:
-            if s_sw == d_sw:
-                cache[(s_sw, d_sw)] = [(s_sw,)]
-            else:
-                cache[(s_sw, d_sw)] = graphops.k_shortest_paths(
-                    adj, lengths, s_sw, d_sw, cfg.k)
-        paths = cache[(s_sw, d_sw)]
-        share = 1.0 / len(paths)
-        scheme[pair] = {attach_stubs(topo, *pair, p): share for p in paths}
-    return scheme
+    return lift(topo, lambda s, d: _uniform(
+        graphops.k_shortest_paths(adj, lengths, s, d, cfg.k)))
 
 
 def vlb(topo: Topology) -> Scheme:
@@ -97,21 +75,18 @@ def vlb(topo: Topology) -> Scheme:
     """
     if len(topo.switches) < 2:
         raise ValueError("load-balanced routing needs at least 2 switches")
-    adj = graphops.switch_graph(topo)
-    lengths = graphops.weight_lengths(topo)
-    best = {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
-    scheme: Scheme = {}
-    for pair, s_sw, d_sw in _pair_switches(topo):
-        intermediates = [i for i in topo.switches if i not in (s_sw, d_sw)]
-        if s_sw == d_sw or not intermediates:
-            path = (s_sw,) if s_sw == d_sw else best[s_sw][d_sw]
-            scheme[pair] = {attach_stubs(topo, *pair, path): 1.0}
-            continue
+    best = _shortest(topo)
+
+    def route(s: str, d: str) -> dict[Path, float]:
+        intermediates = [i for i in topo.switches if i not in (s, d)]
+        if not intermediates:
+            return {best[s][d]: 1.0}
         share = 1.0 / len(intermediates)
-        dist: dict = {}
+        dist: dict[Path, float] = {}
         for i in intermediates:
-            walk = graphops.concatenate(best[s_sw][i], best[i][d_sw])
-            path = attach_stubs(topo, *pair, graphops.shortcut(walk))
+            path = graphops.shortcut(
+                graphops.concatenate(best[s][i], best[i][d]))
             dist[path] = dist.get(path, 0.0) + share
-        scheme[pair] = normalized(dist)
-    return scheme
+        return normalized(dist)
+
+    return lift(topo, route)

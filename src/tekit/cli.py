@@ -177,6 +177,7 @@ def cmd_run(args) -> int:
             raise InputError(str(exc)) from exc
         except PhaseLimitError as exc:
             hit_limit = True
+            _log.info("note: demand scaling: %s", exc)
             factor = 0.4 * args.scale / exc.solution.max_congestion
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]

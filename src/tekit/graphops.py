@@ -23,19 +23,16 @@ def switch_graph(topo: Topology) -> dict[str, tuple[str, ...]]:
 
 
 def unit_lengths(topo: Topology) -> dict[tuple[str, str], float]:
-    return {k: 1.0 for k, e in topo.edges.items()
-            if topo.nodes[k[0]] == "switch" and topo.nodes[k[1]] == "switch"}
+    return {k: 1.0 for k in topo.switch_edges}
 
 
 def weight_lengths(topo: Topology) -> dict[tuple[str, str], float]:
     """Latency weights as lengths (switch-switch edges only)."""
-    return {k: e.weight for k, e in topo.edges.items()
-            if topo.nodes[k[0]] == "switch" and topo.nodes[k[1]] == "switch"}
+    return {k: topo.edges[k].weight for k in topo.switch_edges}
 
 
 def inverse_capacity_lengths(topo: Topology) -> dict[tuple[str, str], float]:
-    return {k: 1.0 / e.capacity for k, e in topo.edges.items()
-            if topo.nodes[k[0]] == "switch" and topo.nodes[k[1]] == "switch"}
+    return {k: 1.0 / topo.edges[k].capacity for k in topo.switch_edges}
 
 
 def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths,
@@ -68,11 +65,6 @@ def shortest_path(adj, lengths: Lengths, source: str, target: str) -> Path:
     if target not in best:
         raise UnreachablePair(f"no route {source} -> {target}")
     return best[target]
-
-
-def all_pairs(adj, lengths: Lengths) -> dict[str, dict[str, float]]:
-    """Shortest-path distance between every pair of nodes."""
-    return {s: dijkstra(adj, lengths, s)[0] for s in sorted(adj)}
 
 
 def min_cost_paths(adj, lengths: Lengths, source: str, target: str) -> list[Path]:

@@ -255,7 +255,7 @@ def _certified(topo, scheme, tm, t0, iterations, lower_bound, converged,
 
 
 def _switch_edges(topo: Topology) -> tuple[list[tuple[str, str]], np.ndarray]:
-    edges = sorted(graphops.weight_lengths(topo))
+    edges = sorted(topo.switch_edges)
     return edges, np.array([topo.edges[e].capacity for e in edges])
 
 

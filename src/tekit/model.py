@@ -11,12 +11,13 @@ A *path* is represented as the tuple of node names it visits, e.g.
 dst_host) pair to a probability distribution over paths.  Schemes are plain
 dicts; treat them (and every other type here) as immutable after
 construction — all operations in this package return fresh objects.
+Path selectors route switch pairs; ``lift`` attaches the host stubs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +81,10 @@ class Topology:
         self.adj = {n: tuple(sorted(vs)) for n, vs in adj.items()}
         self.hosts = tuple(sorted(n for n, k in self.nodes.items() if k == "host"))
         self.switches = tuple(sorted(n for n, k in self.nodes.items() if k == "switch"))
+        #: switch-to-switch edge keys, in ``edges`` order
+        self.switch_edges = tuple(
+            (u, v) for (u, v) in self.edges
+            if self.nodes[u] == "switch" and self.nodes[v] == "switch")
         self._host_switch = {
             h: next(v for v in self.adj[h] if self.nodes[v] == "switch")
             for h in self.hosts
@@ -133,21 +138,15 @@ class Topology:
 
     def links(self) -> list[tuple[str, str]]:
         """Undirected switch-switch links as sorted (a, b) tuples, a < b."""
-        out = set()
-        for (u, v) in self.edges:
-            if self.nodes[u] == "switch" and self.nodes[v] == "switch":
-                out.add((u, v) if u < v else (v, u))
-        return sorted(out)
+        return sorted({(u, v) if u < v else (v, u)
+                       for (u, v) in self.switch_edges})
 
     def without_links(self, links: Iterable[tuple[str, str]]) -> "Topology":
         """Copy of this topology with the given undirected links removed.
 
         Raises TopologyError if the removal disconnects the support graph.
         """
-        dead = set()
-        for (a, b) in links:
-            dead.add((a, b))
-            dead.add((b, a))
+        dead = both_directions(links)
         kept = [e for k, e in self.edges.items() if k not in dead]
         return Topology(self.name, self.nodes, kept)
 
@@ -158,6 +157,12 @@ class Topology:
     def __repr__(self) -> str:
         return (f"Topology({self.name!r}, {len(self.switches)} switches, "
                 f"{len(self.hosts)} hosts, {len(self.links())} links)")
+
+
+def both_directions(links: Iterable[tuple[str, str]]
+                    ) -> frozenset[tuple[str, str]]:
+    """Directed edge keys of undirected links: (a, b) and (b, a) for each."""
+    return frozenset(e for (a, b) in links for e in ((a, b), (b, a)))
 
 
 def path_edges(path: Path) -> list[tuple[str, str]]:
@@ -362,6 +367,32 @@ def attach_stubs(topo: Topology, src: str, dst: str, switch_path: Path) -> Path:
     tuple covers hosts that share a switch.
     """
     return (src,) + switch_path + (dst,)
+
+
+def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]]
+         ) -> Scheme:
+    """Host-pair scheme from a switch-pair route function.
+
+    ``route(s, d)`` returns the switch-level path distribution from switch
+    ``s`` to switch ``d``; it is called once per switch pair, s != d, that
+    serves some host pair.  Hosts sharing a switch get the single-switch
+    path.  Each host pair gets its switch pair's distribution with the host
+    stubs attached, in the route's path order and with its exact
+    probabilities (nothing is renormalized).
+    """
+    routes: dict[tuple[str, str], Mapping[Path, float]] = {}
+    scheme: Scheme = {}
+    for src in topo.hosts:
+        s = topo.host_switch(src)
+        for dst in topo.hosts:
+            if src == dst:
+                continue
+            key = (s, topo.host_switch(dst))
+            if key not in routes:
+                routes[key] = {(s,): 1.0} if key[0] == key[1] else route(*key)
+            scheme[(src, dst)] = {attach_stubs(topo, src, dst, p): w
+                                  for p, w in routes[key].items()}
+    return scheme
 
 
 def format_scheme(scheme: Scheme) -> str:

@@ -46,7 +46,6 @@ class PredictorConfig:
     ridge_lambda: float = 0.0
     degree: int = 2
     num_coeffs: int = 2
-    cv_folds: int = 5
     l1_refine: bool = False
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class PredictorConfig:
             raise ValueError("ridge lambda must be >= 0")
         if self.kind == "fftfit" and self.num_coeffs < 1:
             raise ValueError("num_coeffs must be >= 1")
-        if self.cv_folds < 1:
-            raise ValueError("cv_folds must be >= 1")
 
 
 def _lag_regression(series: np.ndarray, lam: float) -> np.ndarray:
@@ -150,11 +147,12 @@ def choose_window(history: Sequence[TrafficMatrix], kind: str,
     full window of history before them.  Ties resolve to the smallest
     window; candidates that never fit are skipped.
     """
+    if cv_folds < 1:
+        raise ValueError("cv_folds must be >= 1")
     best: tuple[float, int] | None = None
     for window in sorted(set(candidates)):
         try:
-            cfg = PredictorConfig(kind=kind, window=window,
-                                  cv_folds=cv_folds, **kwargs)
+            cfg = PredictorConfig(kind=kind, window=window, **kwargs)
         except ValueError:
             continue
         origins = [t for t in range(window, len(history))][-cv_folds:]
@@ -170,8 +168,7 @@ def choose_window(history: Sequence[TrafficMatrix], kind: str,
     if best is None:
         raise InsufficientHistoryError(
             f"no candidate window fits a history of {len(history)} matrices")
-    return PredictorConfig(kind=kind, window=best[1], cv_folds=cv_folds,
-                           **kwargs)
+    return PredictorConfig(kind=kind, window=best[1], **kwargs)
 
 
 @dataclass(frozen=True)

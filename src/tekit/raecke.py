@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import graphops
-from .model import Path, Scheme, Topology, attach_stubs, normalized
+from .model import Path, Scheme, Topology, lift, normalized
 
 Link = tuple[str, str]  # undirected switch link, endpoints sorted
 
@@ -149,6 +149,7 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     metric induced by ``lengths``) covers it.  A cluster's representative is
     its highest-priority member, and each tree edge maps to the shortest
     physical path between the two representatives under the same lengths.
+    One Dijkstra run per switch yields both the distances and those paths.
     """
     switches = list(topo.switches)
     rng = np.random.default_rng(seed)
@@ -157,7 +158,8 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     scale = float(2.0 ** rng.random())
 
     adj = graphops.switch_graph(topo)
-    dist = graphops.all_pairs(adj, lengths)
+    runs = {s: graphops.dijkstra(adj, lengths, s) for s in switches}
+    dist = {s: run[0] for s, run in runs.items()}
 
     def rep(members) -> str:
         return min(members, key=priority.__getitem__)
@@ -194,19 +196,8 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
             level -= 1
 
     reps = tuple(rep(c) for c in clusters)
-    paths: list[Path] = []
-    sp_cache: dict[str, dict[str, Path]] = {}
-    for i, p in enumerate(parents):
-        if p is None:
-            paths.append((reps[i],))
-            continue
-        a, b = reps[p], reps[i]
-        if a == b:
-            paths.append((a,))
-            continue
-        if a not in sp_cache:
-            sp_cache[a] = graphops.dijkstra(adj, lengths, a)[1]
-        paths.append(sp_cache[a][b])
+    paths = [(reps[i],) if p is None else runs[reps[p]][1][reps[i]]
+             for i, p in enumerate(parents)]
     leaf_index = {next(iter(c)): i for i, c in enumerate(clusters) if len(c) == 1}
     if len(switches) == 1:
         leaf_index = {switches[0]: 0}
@@ -246,10 +237,9 @@ def _tree_utilization(tree: RoutingTree, topo: Topology) -> dict[Link, float]:
             boundary_cap.append(0.0)
             continue
         cap = 0.0
-        for (a, b), e in topo.edges.items():
-            if topo.nodes[a] == "switch" and topo.nodes[b] == "switch":
-                if a in cluster and b not in cluster:
-                    cap += e.capacity
+        for (a, b) in topo.switch_edges:
+            if a in cluster and b not in cluster:
+                cap += topo.edges[(a, b)].capacity
         boundary_cap.append(cap)
 
     util: dict[Link, float] = {lk: 0.0 for lk in topo.links()}
@@ -334,26 +324,16 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
 def paths_from_distribution(dist: TreeDistribution, topo: Topology) -> Scheme:
     """Collapse a tree distribution into a per-pair path distribution.
 
-    Each tree contributes its pair path (the tree walk, loop-shortcut to a
-    simple path) with the tree's probability; identical physical paths from
-    different trees merge by summing.  Host stub edges are attached last.
+    Each tree contributes its switch-pair path (the tree walk, loop-shortcut
+    to a simple path) with the tree's probability; identical physical paths
+    from different trees merge by summing.  ``model.lift`` attaches the host
+    stubs.
     """
-    scheme: Scheme = {}
-    walk_cache: dict[tuple[int, str, str], Path] = {}
-    for src in topo.hosts:
-        for dst in topo.hosts:
-            if src == dst:
-                continue
-            s_sw, d_sw = topo.host_switch(src), topo.host_switch(dst)
-            if s_sw == d_sw:
-                scheme[(src, dst)] = {attach_stubs(topo, src, dst, (s_sw,)): 1.0}
-                continue
-            acc: dict[Path, float] = {}
-            for ti, (tree, prob) in enumerate(dist.trees):
-                ck = (ti, s_sw, d_sw)
-                if ck not in walk_cache:
-                    walk_cache[ck] = graphops.shortcut(tree.walk(s_sw, d_sw))
-                path = attach_stubs(topo, src, dst, walk_cache[ck])
-                acc[path] = acc.get(path, 0.0) + prob
-            scheme[(src, dst)] = normalized(acc)
-    return scheme
+    def route(s: str, d: str) -> dict[Path, float]:
+        acc: dict[Path, float] = {}
+        for tree, prob in dist.trees:
+            path = graphops.shortcut(tree.walk(s, d))
+            acc[path] = acc.get(path, 0.0) + prob
+        return normalized(acc)
+
+    return lift(topo, route)

@@ -34,7 +34,8 @@ from .baseline import spf
 from .demand import FlashConfig, flash_burst, flash_sink
 from .mcf import MwConfig, evaluate_scheme
 from .model import (AlgorithmKind, Path, Scheme, Topology, TopologyError,
-                    TrafficMatrix, churn, normalized, path_edges)
+                    TrafficMatrix, both_directions, churn, normalized,
+                    path_edges)
 
 _FAIL = 21  # rng stream tag
 
@@ -45,8 +46,8 @@ class InfeasibleFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig(algorithms.BuildConfig):
-    """Replay settings on top of the scheme-build ones (``budget``,
-    ``ksp_k``, ``mw``, ``seed``)."""
+    """Replay settings on top of the scheme-build ones (``budget``, ``mw``,
+    ``seed``)."""
 
     steps_per_tm: int = 1000
     phi: int = 0
@@ -171,14 +172,6 @@ def failure_schedule(topo: Topology, phi: int, num_tms: int, seed: int,
     return out
 
 
-def _failed_edges(failed_links) -> frozenset:
-    dead = set()
-    for (a, b) in failed_links:
-        dead.add((a, b))
-        dead.add((b, a))
-    return frozenset(dead)
-
-
 def _surviving(scheme: Scheme, dead: frozenset) -> Scheme:
     out: Scheme = {}
     for pair, dist in scheme.items():
@@ -195,7 +188,7 @@ def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
     just renormalizes.  Pairs left with no surviving path keep an empty
     entry — their traffic becomes failure loss downstream, never an error.
     """
-    dead = _failed_edges(failed)
+    dead = both_directions(failed)
     survived = _surviving(scheme, dead)
     if kind.category == "semi-oblivious":
         return algorithms.reweight(topo, survived, tm_lagged, mw)
@@ -305,7 +298,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     for t in range(num_tms):
         atm, ptm = actual_tms[t], predicted_tms[t]
         failed = failures[t]
-        dead = _failed_edges(failed)
+        dead = both_directions(failed)
         topo_t = topo
         if failed:
             try:

@@ -303,3 +303,18 @@ def test_verbose_handlers_do_not_pile_up(topo_path, demand_files, tmp_path,
     assert errs[0] == errs[1] == errs[2]
     pkg = logging.getLogger("tekit")
     assert pkg.handlers == [] and pkg.level == logging.NOTSET
+
+
+def test_verbose_notes_the_demand_scaling_phase_limit(topo_path, demand_files,
+                                                      tmp_path, capsys):
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", "spf", "--steps", "2", "--scale", "1.0",
+               "--max-phases", "2", "--strict", "--verbose",
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert any(ln.startswith("note: demand scaling: no certificate after 2 "
+                             "phases") for ln in err)
+    assert err[-1] == "error: solver phase limit reached (--strict)"

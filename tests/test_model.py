@@ -5,6 +5,7 @@ import tekit
 from tekit import (AlgorithmKind, Edge, Topology, TopologyError, TrafficMatrix,
                    churn, prune_to_budget, validate_scheme)
 from tekit.demand import GravityState, gravity_tm, mh_step
+from tekit.model import both_directions, lift
 from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
 
 from conftest import tm_of
@@ -194,3 +195,48 @@ def test_algorithm_kind_parsing():
         AlgorithmKind.parse("bogus")
     with pytest.raises(ValueError):
         AlgorithmKind("semimcf", "semimcf")
+
+
+# -- switch edges and the host lift --------------------------------------------
+
+def _two_hosts_per_switch():
+    nodes = {"x": "switch", "y": "switch", "z": "switch"}
+    edges = [Edge("x", "y", 5.0), Edge("y", "x", 5.0),
+             Edge("y", "z", 5.0), Edge("z", "y", 5.0)]
+    for sw in "xz":
+        for host in (f"a{sw}", f"b{sw}"):
+            nodes[host] = "host"
+            edges += [Edge(host, sw, 9.0, 0.0), Edge(sw, host, 9.0, 0.0)]
+    return Topology("pairs", nodes, edges)
+
+
+def test_switch_edges_follow_edge_order(abilene):
+    assert abilene.switch_edges == tuple(
+        k for k in abilene.edges if k[0].startswith("s") and k[1].startswith("s"))
+    assert len(abilene.switch_edges) == 2 * len(abilene.links())
+
+
+def test_both_directions():
+    assert both_directions([("a", "b"), ("c", "d")]) == frozenset(
+        {("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")})
+    assert both_directions([]) == frozenset()
+
+
+def test_lift_routes_each_switch_pair_once():
+    topo = _two_hosts_per_switch()
+    calls = []
+    tenth = {(f"p{i}",): 0.1 for i in range(10)}
+
+    def route(s, d):
+        calls.append((s, d))
+        return tenth
+
+    scheme = lift(topo, route)
+    assert calls == [("x", "z"), ("z", "x")]  # y serves no host
+    assert list(scheme) == [(s, d) for s in topo.hosts for d in topo.hosts
+                            if s != d]
+    assert scheme[("ax", "bx")] == {("ax", "x", "bx"): 1.0}
+    entry = scheme[("ax", "bz")]
+    assert list(entry) == [("ax", f"p{i}", "bz") for i in range(10)]
+    # shares are copied, not renormalized: ten tenths sum below one
+    assert sum(entry.values()) == sum(tenth.values()) != 1.0

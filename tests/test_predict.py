@@ -160,6 +160,13 @@ def test_choose_window_insufficient():
         choose_window(series_tms([1, 2]), "linear", [8, 16])
 
 
+def test_choose_window_rejects_nonpositive_folds():
+    tms = series_tms([float(t) for t in range(30)])
+    with pytest.raises(ValueError, match="cv_folds must be >= 1") as info:
+        choose_window(tms, "ridge", [4, 8], cv_folds=0)
+    assert not isinstance(info.value, InsufficientHistoryError)
+
+
 def test_choose_window_on_evolving_gravity(abilene):
     state = GravityState.initial(abilene.hosts, seed=6)
     tms = []

@@ -1,0 +1,85 @@
+"""Pinned output of every demand-independent scheme builder.
+
+Each digest covers the order of the host pairs, the order of the paths
+within each pair and the ``repr`` of every probability, so a change to
+dict order or to the last bit of a probability fails here.  The
+``shared`` topology adds hosts that sort before (``a*``) and after
+(``z*``) abilene's ``h*`` hosts and share switches with them.
+"""
+
+import hashlib
+
+import pytest
+
+from tekit import (Edge, RaeckeConfig, Topology, ecmp, ksp,
+                   load_bundled_topology, paths_from_distribution,
+                   raecke_distribution, spf, vlb)
+
+
+def scheme_digest(scheme) -> str:
+    h = hashlib.sha256()
+    for (src, dst), dist in scheme.items():
+        h.update(f"{src} {dst}\n".encode())
+        for path, prob in dist.items():
+            h.update(f" {'-'.join(path)} {prob!r}\n".encode())
+    return h.hexdigest()
+
+
+def _with_shared_hosts(topo):
+    nodes = dict(topo.nodes)
+    edges = list(topo.edges.values())
+    for host, sw in [("a1", "s1"), ("a3", "s3"), ("z1", "s1"), ("z3", "s3"),
+                     ("z9", "s9")]:
+        nodes[host] = "host"
+        edges += [Edge(host, sw, 1e11, 0.0), Edge(sw, host, 1e11, 0.0)]
+    return Topology(topo.name + "+shared", nodes, edges)
+
+
+def _raecke(seed):
+    def build(topo):
+        dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+        return paths_from_distribution(dist, topo)
+    return build
+
+
+BUILDERS = {"spf": spf, "ecmp": ecmp, "ksp": ksp, "vlb": vlb,
+            "raecke0": _raecke(0), "raecke1": _raecke(1)}
+
+PINS = {
+    ("abilene", "spf"):
+        "f02026537d19090a6e2e47b045cb723c3ccd41d4d000f1379fa53173a48edda2",
+    ("abilene", "ecmp"):
+        "c671b56d796e085dff4b02ff7272be0928ab6df9a75a02fc7058e2e39f60919e",
+    ("abilene", "ksp"):
+        "b8ab778fa063b58c2fc374de52af18d5a57bc3ee4954ca6c9185f4be58c1e762",
+    ("abilene", "vlb"):
+        "6e214cd4f774e7d0b3040100b736afdd25eb9214d68371fbfc055d87b6c3d48c",
+    ("abilene", "raecke0"):
+        "592c3d703fac57118de259fbe49b5d370bc08151c95e1ba4cd537e3bf554f460",
+    ("abilene", "raecke1"):
+        "4a1460e6eab1d2871c63220517cf8e6407d983c170ac26d2c8d36132063d1786",
+    ("shared", "spf"):
+        "cd02e5c29c7e64c91998ef4e2b46cf9dfe8936efe6c8720af2269da351361a65",
+    ("shared", "ecmp"):
+        "a5cbbc1e6aaa33eb05d036433ca793aa0e130d6b2ceacee3546b8aceb9feef01",
+    ("shared", "ksp"):
+        "ebfd906d0fa20b95b3f75efe4a1d677cba930afedf4ff681361ae4b0eb8887a6",
+    ("shared", "vlb"):
+        "6b43e3b58f2822091ac674125dbd7312d55508265617dd5df6d0673bdf2467a4",
+    ("shared", "raecke0"):
+        "b0f1b14197e80f0078c13a298009ed84e8381d7a8303d48d550ddb02fecdff55",
+    ("shared", "raecke1"):
+        "1300517c65337b5cb7d8bb4543a2215ebc37d522eb50cfbba616071a41a68ea5",
+}
+
+
+@pytest.fixture(scope="module")
+def topologies():
+    abilene = load_bundled_topology("abilene")
+    return {"abilene": abilene, "shared": _with_shared_hosts(abilene)}
+
+
+@pytest.mark.parametrize("topo_name, builder", sorted(PINS))
+def test_builder_output_is_pinned(topologies, topo_name, builder):
+    scheme = BUILDERS[builder](topologies[topo_name])
+    assert scheme_digest(scheme) == PINS[(topo_name, builder)]

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tekit
 from tekit import (AlgorithmKind, SimConfig, failure_schedule, max_min_allocate,
@@ -53,6 +55,30 @@ def test_water_filling_is_max_min_optimal():
                 assert alloc[k] == pytest.approx(level, abs=1e-9)
             for k in reqs:
                 assert alloc[k] <= level + 1e-9
+
+
+_requests = st.dictionaries(
+    st.integers(0, 30), st.floats(min_value=0.0, max_value=1e9), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cap=st.floats(min_value=1e-9, max_value=1e9), reqs=_requests)
+def test_water_filling_properties(cap, reqs):
+    alloc = max_min_allocate(cap, reqs)
+    assert set(alloc) == set(reqs)
+    assert sum(alloc.values()) <= cap * (1 + 1e-12)
+    for k, req in reqs.items():
+        assert 0.0 <= alloc[k] <= req
+        if alloc[k] < req:
+            # a capped flow sits at the top level: nobody gets more
+            assert all(alloc[k] >= a - 1e-12 * cap for a in alloc.values())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cap=st.floats(max_value=0.0, allow_nan=False), reqs=_requests)
+def test_water_filling_rejects_nonpositive_capacity(cap, reqs):
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        max_min_allocate(cap, reqs)
 
 
 # -- failure schedules ---------------------------------------------------------
