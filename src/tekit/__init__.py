@@ -10,7 +10,7 @@ from .algorithms import BuildConfig, SchemeDriver, make_scheme, oblivious_scheme
 from .baseline import KspConfig, ecmp, ksp, spf, vlb
 from .demand import (FlashConfig, GravityState, NoEligibleSinkError,
                      ZeroDemandError, diurnal_scale, flash_burst, generate_sequences,
-                     gravity_tm, mh_step, normalize_scale, perturb_for_prediction)
+                     gravity_tm, mh_step, perturb_for_prediction)
 from .fileio import (ParseError, bundled_topology_names, load_bundled_topology,
                      load_topology, parse_topology, read_tm_sequence,
                      write_tm_sequence)

@@ -16,14 +16,17 @@ through the same record.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import baseline, raecke
 from .mcf import (MwConfig, PhaseLimitError, mcf_mw, semi_mcf, semi_mcf_env,
                   semi_mcf_ft_env)
-from .model import (AlgorithmKind, Scheme, Topology, TrafficMatrix,
-                    prune_to_budget)
+from .model import (OBLIVIOUS_TAGS, AlgorithmKind, Scheme, Topology,
+                    TrafficMatrix, prune_to_budget)
 from .raecke import RaeckeConfig
 
 
@@ -54,30 +57,16 @@ def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
              mw: MwConfig = MwConfig()) -> Scheme:
     """Re-balance rates over fixed paths, tolerating stranded pairs.
 
-    Pairs whose entry is empty (e.g. every path crossed a failed link) keep
-    an empty entry and have their demand ignored by the solver — the
-    simulator accounts it as failure loss.  If the solver stops without a
-    certificate, the PhaseLimitError propagates with the best-so-far scheme,
-    stranded pairs included, attached as ``.solution.scheme``.
+    Pairs without a path (e.g. every path crossed a failed link) keep an
+    empty entry and have their demand ignored by the solver — the simulator
+    accounts it as failure loss.  If the solver stops without a certificate,
+    the PhaseLimitError propagates with the best-so-far scheme, stranded
+    pairs included, attached as ``.solution.scheme``.
     """
-    covered = {pair: dist for pair, dist in base.items() if dist}
-    stranded = [pair for pair, dist in base.items() if not dist]
-    tm_solv = tm
-    dropped = [p for p in stranded if tm.get(*p) > 0]
-    if dropped or any(tm.get(*p) > 0 and p not in base for p in tm.pairs()):
-        rates = tm.rates.copy()
-        idx = {h: i for i, h in enumerate(tm.hosts)}
-        for pair in tm.pairs():
-            if tm.get(*pair) > 0 and (pair in stranded or pair not in base):
-                rates[idx[pair[0]], idx[pair[1]]] = 0.0
-        tm_solv = TrafficMatrix(tm.hosts, rates)
-    try:
-        solved = semi_mcf(topo, tm_solv, covered, mw).scheme
-    except PhaseLimitError as exc:
-        exc.solution.scheme.update({pair: {} for pair in stranded})
-        raise
-    solved.update({pair: {} for pair in stranded})
-    return solved
+    routed = np.array([[bool(base.get((s, d))) for d in tm.hosts]
+                       for s in tm.hosts])
+    routable = TrafficMatrix(tm.hosts, np.where(routed, tm.rates, 0.0))
+    return semi_mcf(topo, routable, base, mw).scheme
 
 
 class SchemeDriver:
@@ -102,17 +91,17 @@ class SchemeDriver:
         if kind.category == "oblivious":
             label = f"{name} build"
             builder = lambda: oblivious_scheme(tag, topo, cfg)
-        elif tag == "semimcf" and kind.base == "mcf":
-            if not predicted_tms:
-                raise ValueError("semimcfmcf needs a predicted matrix")
-            builder = lambda: mcf_mw(topo, predicted_tms[0], cfg.mw).scheme
-        elif tag == "semimcf":
+        elif kind.base in OBLIVIOUS_TAGS:
             builder = lambda: oblivious_scheme(kind.base, topo, cfg)
-        elif tag == "semimcfmcfenv":
-            builder = lambda: semi_mcf_env(topo, list(predicted_tms), cfg.mw)
-        elif tag == "semimcfmcfftenv":
-            builder = lambda: semi_mcf_ft_env(topo, list(predicted_tms), None,
-                                              cfg.mw)
+        elif kind.base is not None:  # a base solved from the predictions
+            if not predicted_tms:
+                raise ValueError(f"{name} needs a predicted matrix")
+            tms = list(predicted_tms)
+            builder = {
+                "mcf": lambda: mcf_mw(topo, tms[0], cfg.mw).scheme,
+                "mcfenv": lambda: semi_mcf_env(topo, tms, cfg.mw),
+                "mcfftenv": lambda: semi_mcf_ft_env(topo, tms, None, cfg.mw),
+            }[kind.base]
         else:  # conscious kinds (mcf, mw, optimalmcf) build per matrix
             return
         self.base = self._budgeted(self.timed(label, builder))
@@ -170,12 +159,20 @@ class SchemeDriver:
 
 def make_scheme(name: str, topo: Topology, tm: TrafficMatrix | None = None,
                 cfg: BuildConfig = BuildConfig()) -> Scheme:
-    """One-shot scheme construction for demos and quick experiments."""
+    """One-shot scheme construction for demos and quick experiments.
+
+    A solve that stops at its phase limit still yields its best-so-far
+    scheme; each such event is emitted as a RuntimeWarning.
+    """
     kind = AlgorithmKind.parse(name)
     tms = [tm] if tm is not None else []
     driver = SchemeDriver(topo, kind, tms, cfg)
     if kind.category == "oblivious":
-        return driver.base
-    if tm is None:
+        scheme = driver.base
+    elif tm is None:
         raise ValueError(f"{name} needs a traffic matrix")
-    return driver.scheme_for(0, tm, tm, topo)
+    else:
+        scheme = driver.scheme_for(0, tm, tm, topo)
+    for event in driver.phase_limit_events:
+        warnings.warn(f"phase limit: {event}", RuntimeWarning, stacklevel=2)
+    return scheme

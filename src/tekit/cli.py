@@ -282,8 +282,8 @@ def cmd_gen_demands(args) -> int:
         "flash_beta": args.flash_beta,
         "diurnal": args.diurnal,
         "diurnal_note": "weekly template is a fixed synthetic stand-in",
-        "pareto_shape": 1.5,
-        "pareto_scale": 1.0,
+        "pareto_shape": demand.PARETO_SHAPE,
+        "pareto_scale": demand.PARETO_SCALE,
     })
     return 0
 

@@ -6,9 +6,9 @@ from a heavy-tailed Pareto distribution and evolve over time through a
 Metropolis-Hastings random walk whose stationary density is that same
 Pareto, so long sequences stay statistically calibrated while varying step
 to step.  On top sit: a weekly rescaling template for diurnal variation,
-single-sink flash bursts with hyperbolic decay, a scale normalization that
-pins the first matrix's optimal congestion, and the weight perturbation used
-to manufacture noisy "predicted" sequences.
+single-sink flash bursts with hyperbolic decay, the scale factor that pins
+the first matrix's optimal congestion, and the weight perturbation used to
+manufacture noisy "predicted" sequences.
 
 All randomness is derived from numpy SeedSequences keyed by (seed, step,
 purpose), so a (seed, config) pair always reproduces the same byte-identical
@@ -29,9 +29,13 @@ from .model import Topology, TrafficMatrix
 # rng stream tags, mixed into seed sequences
 _INIT, _STEP, _PERTURB, _SINK, _DIURNAL = 11, 12, 13, 14, 15
 
-#: steps of simulator time per traffic-matrix interval, for the weekly
-#: template (5 minutes each), and flash decay steps per minute.
+#: minutes per traffic-matrix interval, for the weekly template
 TM_MINUTES = 5.0
+#: shape and scale of the stationary Pareto density of the host weights
+PARETO_SHAPE = 1.5
+PARETO_SCALE = 1.0
+#: simulator steps after which a flash burst has decayed to half its peak
+FLASH_HALF_LIFE_STEPS = 30
 
 
 class NoEligibleSinkError(RuntimeError):
@@ -44,7 +48,7 @@ class ZeroDemandError(ValueError):
 
 @dataclass(frozen=True)
 class GravityState:
-    """Host weights plus the stationary-distribution parameters.
+    """Host weights of the gravity model.
 
     ``step`` counts Metropolis-Hastings updates applied so far; together
     with ``seed`` it fully determines the randomness of the next update.
@@ -52,28 +56,20 @@ class GravityState:
 
     hosts: tuple[str, ...]
     weights: tuple[float, ...]
-    pareto_shape: float = 1.5
-    pareto_scale: float = 1.0
     seed: int = 0
     step: int = 0
 
     def __post_init__(self):
-        if self.pareto_shape <= 1.0:
-            raise ValueError("pareto shape must exceed 1")
-        if self.pareto_scale <= 0:
-            raise ValueError("pareto scale must be positive")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
 
     @staticmethod
-    def initial(hosts: Sequence[str], seed: int = 0, pareto_shape: float = 1.5,
-                pareto_scale: float = 1.0) -> "GravityState":
+    def initial(hosts: Sequence[str], seed: int = 0) -> "GravityState":
         """Draw initial weights from the stationary Pareto distribution."""
         hosts = tuple(sorted(hosts))
         rng = np.random.default_rng([seed, _INIT])
-        w = pareto_scale * (1.0 + rng.pareto(pareto_shape, size=len(hosts)))
-        return GravityState(hosts, tuple(float(x) for x in w),
-                            pareto_shape, pareto_scale, seed, 0)
+        w = PARETO_SCALE * (1.0 + rng.pareto(PARETO_SHAPE, size=len(hosts)))
+        return GravityState(hosts, tuple(float(x) for x in w), seed, 0)
 
 
 def gravity_tm(state: GravityState, total: float) -> TrafficMatrix:
@@ -89,11 +85,11 @@ def gravity_tm(state: GravityState, total: float) -> TrafficMatrix:
     return TrafficMatrix(state.hosts, total * prod / denom)
 
 
-def _pareto_logpdf(x: float, shape: float, scale: float) -> float:
-    if x < scale:
+def _pareto_logpdf(x: float) -> float:
+    if x < PARETO_SCALE:
         return -math.inf
-    return (math.log(shape) + shape * math.log(scale)
-            - (shape + 1.0) * math.log(x))
+    return (math.log(PARETO_SHAPE) + PARETO_SHAPE * math.log(PARETO_SCALE)
+            - (PARETO_SHAPE + 1.0) * math.log(x))
 
 
 def mh_step(state: GravityState) -> GravityState:
@@ -132,9 +128,7 @@ def mh_step(state: GravityState) -> GravityState:
                 log_q_ratio = math.log(0.4 * w) - math.log(0.4 * w2)
             else:
                 log_q_ratio = -math.inf
-        log_alpha = (_pareto_logpdf(w2, state.pareto_shape, state.pareto_scale)
-                     - _pareto_logpdf(w, state.pareto_shape, state.pareto_scale)
-                     + log_q_ratio)
+        log_alpha = _pareto_logpdf(w2) - _pareto_logpdf(w) + log_q_ratio
         if log_alpha >= 0 or rng.random() < math.exp(log_alpha):
             new_weights.append(w2)
         else:
@@ -143,18 +137,17 @@ def mh_step(state: GravityState) -> GravityState:
 
 
 def diurnal_scale(step: int, base_total: float, seed: int = 0,
-                  noise_amplitude: float = 0.05,
-                  minutes_per_step: float = TM_MINUTES) -> float:
+                  noise_amplitude: float = 0.05) -> float:
     """Weekly traffic-intensity template evaluated at a step.
 
     The template is 1 plus three sinusoids at daily, half-daily and weekly
-    periods (in ``minutes_per_step``-minute steps), whose amplitudes are
+    periods (in ``TM_MINUTES``-minute steps), whose amplitudes are
     perturbed once per seed by Gaussian noise of the given relative
     amplitude (clipped to +-20% so the constant offset always dominates and
     the factor stays positive).  The mean over a full week is 1 up to the
     perturbation.
     """
-    steps_per_day = 24 * 60 / minutes_per_step
+    steps_per_day = 24 * 60 / TM_MINUTES
     periods = (steps_per_day, steps_per_day / 2, 7 * steps_per_day)
     amplitudes = np.array([0.25, 0.10, 0.15])
     phases = (0.0, 1.0, 2.0)
@@ -171,17 +164,14 @@ def diurnal_scale(step: int, base_total: float, seed: int = 0,
 @dataclass(frozen=True)
 class FlashConfig:
     """Flash-burst generator: a sudden spike of traffic toward one sink
-    host, decaying hyperbolically with a configurable half-life."""
+    host, decaying hyperbolically with half-life ``FLASH_HALF_LIFE_STEPS``."""
 
     beta: float = 0.0
-    half_life_steps: int = 30
     sink_seed: int = 0
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if self.half_life_steps < 1:
-            raise ValueError("half life must be >= 1 step")
 
 
 def flash_sink(tm: TrafficMatrix, cfg: FlashConfig, tm_index: int = 0) -> str:
@@ -212,7 +202,7 @@ def flash_burst(tm: TrafficMatrix, cfg: FlashConfig, elapsed: int,
     col_sum = col.sum()
     if col_sum <= 0:
         raise NoEligibleSinkError(f"sink {sink} receives no traffic")
-    decay = cfg.half_life_steps / (cfg.half_life_steps + elapsed)
+    decay = FLASH_HALF_LIFE_STEPS / (FLASH_HALF_LIFE_STEPS + elapsed)
     scale = cfg.beta * tm.total() / len(tm.hosts)
     rates = tm.rates.copy()
     rates[:, si] = col + decay * scale * (col / col_sum)
@@ -250,20 +240,9 @@ def scale_factor(topo: Topology, first: TrafficMatrix, scale: float,
     return 0.4 * scale / base
 
 
-def normalize_scale(topo: Topology, tms: Sequence[TrafficMatrix], scale: float,
-                    cfg: MwConfig = MwConfig()) -> list[TrafficMatrix]:
-    """Rescale a sequence so the first matrix's optimal congestion is 0.4*S."""
-    if not tms:
-        raise ZeroDemandError("empty sequence")
-    factor = scale_factor(topo, tms[0], scale, cfg)
-    return [tm.scaled(factor) for tm in tms]
-
-
 def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
                        epsilon: float = 0.0, scale: float | None = None,
-                       base_total: float = 1.0, diurnal: bool = False,
-                       pareto_shape: float = 1.5, pareto_scale: float = 1.0,
-                       mw: MwConfig = MwConfig(),
+                       diurnal: bool = False,
                        ) -> tuple[list[TrafficMatrix], list[TrafficMatrix]]:
     """Full generator pipeline: (actual, predicted) matrix sequences.
 
@@ -273,17 +252,17 @@ def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
     both sequences are jointly rescaled so the first actual matrix's optimal
     congestion equals 0.4 * scale.
     """
-    state = GravityState.initial(topo.hosts, seed, pareto_shape, pareto_scale)
+    state = GravityState.initial(topo.hosts, seed)
     actual: list[TrafficMatrix] = []
     predicted: list[TrafficMatrix] = []
     for t in range(num_tms):
-        total = diurnal_scale(t, base_total, seed) if diurnal else base_total
+        total = diurnal_scale(t, 1.0, seed) if diurnal else 1.0
         actual.append(gravity_tm(state, total))
         predicted.append(gravity_tm(perturb_for_prediction(state, epsilon, seed),
                                     total))
         state = mh_step(state)
     if scale is not None:
-        factor = scale_factor(topo, actual[0], scale, mw)
+        factor = scale_factor(topo, actual[0], scale)
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]
     return actual, predicted

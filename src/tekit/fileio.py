@@ -96,10 +96,13 @@ def format_tm_line(tm: TrafficMatrix) -> str:
 def parse_tm_line(line: str, hosts: Sequence[str]) -> TrafficMatrix:
     hosts = tuple(sorted(hosts))
     n = len(hosts)
-    values = [float(tok) for tok in line.split()]
-    if len(values) != n * n:
-        raise ParseError(f"expected {n * n} rates, got {len(values)}")
-    return TrafficMatrix(hosts, np.array(values).reshape(n, n))
+    try:
+        values = [float(tok) for tok in line.split()]
+        if len(values) != n * n:
+            raise ValueError(f"expected {n * n} rates, got {len(values)}")
+        return TrafficMatrix(hosts, np.array(values).reshape(n, n))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def write_tm_sequence(path: str | FsPath, tms: Iterable[TrafficMatrix]) -> None:

@@ -423,17 +423,23 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
                     cfg: MwConfig = MwConfig()) -> Scheme:
     """Failure-tolerant base paths: union of envelope solutions across
     single-link failure scenarios (plus the intact topology), with uniform
-    initial weights over each pair's union set."""
-    if failure_set is None:
-        failure_set = topo.links()
+    initial weights over each pair's union set.
+
+    By default every switch link is a scenario except the bridges, whose
+    failure disconnects the network and so leaves no routing to union.  A
+    bridge in an explicit ``failure_set`` raises DisconnectedScenarioError.
+    """
+    links = topo.links() if failure_set is None else failure_set
     scenarios: list[tuple[tuple[str, str], ...]] = [()]
-    scenarios += [((a, b) if a < b else (b, a),) for (a, b) in failure_set]
+    scenarios += [((a, b) if a < b else (b, a),) for (a, b) in links]
 
     union: dict[tuple[str, str], set[Path]] = {}
     for scenario in scenarios:
         try:
             reduced = topo.without_links(scenario)
         except TopologyError:
+            if failure_set is None:
+                continue
             raise DisconnectedScenarioError(scenario[0]) from None
         part = semi_mcf_env(reduced, window, cfg)
         for pair, dist in part.items():

@@ -59,7 +59,8 @@ class Topology:
     object is safe to share freely (nothing here mutates it):
 
     * every edge endpoint is a declared node,
-    * capacities are strictly positive, latency weights non-negative,
+    * capacities are strictly positive, latency weights non-negative
+      (NaN is neither),
     * the undirected support graph is connected,
     * hosts have undirected degree exactly 1 and attach to a switch.
     """
@@ -98,10 +99,11 @@ class Topology:
         for (u, v), e in self.edges.items():
             if u not in self.nodes or v not in self.nodes:
                 raise TopologyError(f"edge {u}->{v} references unknown node")
-            if e.capacity <= 0:
+            if not e.capacity > 0:
                 raise TopologyError(f"edge {u}->{v}: capacity must be positive")
-            if e.weight < 0:
-                raise TopologyError(f"edge {u}->{v}: negative latency weight")
+            if not e.weight >= 0:
+                raise TopologyError(
+                    f"edge {u}->{v}: latency weight must be non-negative")
             deg[u].add(v)
             deg[v].add(u)
         if not self.nodes:
@@ -185,6 +187,8 @@ class TrafficMatrix:
         rates = np.asarray(rates, dtype=float)
         if rates.shape != (n, n):
             raise ValueError(f"rates must be {n}x{n}, got {rates.shape}")
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("demand rates must be finite")
         if np.any(rates < 0):
             raise ValueError("negative demand rate")
         if np.any(np.diag(rates) != 0):
@@ -222,15 +226,17 @@ class TrafficMatrix:
 
 # -- Routing algorithm taxonomy ------------------------------------------------
 
-# Path-producing algorithm tags that may seed an adaptive-weight variant.
-BASE_TAGS = ("spf", "ecmp", "ksp", "vlb", "raecke", "mcf")
+#: Demand-independent path selectors (fixed paths and weights).
+OBLIVIOUS_TAGS = ("spf", "ecmp", "ksp", "vlb", "raecke")
+#: Algorithms that solve paths and weights per matrix.
+CONSCIOUS_TAGS = ("mcf", "mw", "optimalmcf")
+#: Path sets an adaptive-weight ``semimcf`` variant may start from: the
+#: oblivious ones, one matrix's solution, and the envelope solutions.
+BASE_TAGS = OBLIVIOUS_TAGS + ("mcf", "mcfenv", "mcfftenv")
 
 #: Every accepted algorithm name, as used on the command line.
-ALGORITHM_NAMES = (
-    "spf", "ecmp", "ksp", "vlb", "raecke", "mcf", "mw", "optimalmcf",
-    "semimcfspf", "semimcfecmp", "semimcfksp", "semimcfvlb", "semimcfraecke",
-    "semimcfmcf", "semimcfmcfenv", "semimcfmcfftenv",
-)
+ALGORITHM_NAMES = (OBLIVIOUS_TAGS + CONSCIOUS_TAGS
+                   + tuple("semimcf" + base for base in BASE_TAGS))
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,8 @@ class AlgorithmKind:
         if self.tag == "semimcf":
             if self.base not in BASE_TAGS:
                 raise ValueError(f"semimcf base must be one of {BASE_TAGS}")
+        elif self.tag not in OBLIVIOUS_TAGS + CONSCIOUS_TAGS:
+            raise ValueError(f"unknown algorithm tag {self.tag!r}")
         elif self.base is not None:
             raise ValueError(f"{self.tag} takes no base algorithm")
 
@@ -254,8 +262,6 @@ class AlgorithmKind:
         if name not in ALGORITHM_NAMES:
             raise ValueError(
                 f"unknown algorithm {name!r}; valid names: {', '.join(ALGORITHM_NAMES)}")
-        if name in ("semimcfmcfenv", "semimcfmcfftenv"):
-            return AlgorithmKind(name)
         if name.startswith("semimcf"):
             return AlgorithmKind("semimcf", name[len("semimcf"):])
         return AlgorithmKind(name)
@@ -268,9 +274,9 @@ class AlgorithmKind:
     def category(self) -> str:
         """'oblivious' (fixed paths and weights), 'semi-oblivious'
         (fixed paths, adaptive weights) or 'conscious' (both adaptive)."""
-        if self.tag in ("spf", "ecmp", "ksp", "vlb", "raecke"):
+        if self.tag in OBLIVIOUS_TAGS:
             return "oblivious"
-        if self.tag in ("semimcf", "semimcfmcfenv", "semimcfmcfftenv"):
+        if self.tag == "semimcf":
             return "semi-oblivious"
         return "conscious"
 

@@ -35,19 +35,18 @@ Link = tuple[str, str]  # undirected switch link, endpoints sorted
 
 _log = logging.getLogger(__name__)
 
+#: each round multiplies an edge's length by at most 1 + EPSILON
+EPSILON = 0.1
+#: the rounds stop once the accumulated tree weight exceeds this mass
+UTILIZATION_THRESHOLD = 1.0
+
 
 @dataclass(frozen=True)
 class RaeckeConfig:
-    epsilon: float = 0.1
-    utilization_threshold: float = 1.0
     max_iterations: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.utilization_threshold <= 0:
-            raise ValueError("utilization threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -260,12 +259,12 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
     Edge lengths start at inverse capacity.  Each round samples a tree under
     the current lengths, weights it by 1/u_max (the inverse of its peak
     utilization bound), and multiplies each edge's length by
-    (1 + epsilon)^(u(e,T)/u_max) so the next round avoids hot edges.  The
+    (1 + EPSILON)^(u(e,T)/u_max) so the next round avoids hot edges.  The
     loop stops once the accumulated tree weight sum_T 1/u_max(T) — the
     inverse-peak-utilization mass that later normalizes to the probability
-    distribution — strictly exceeds the threshold, or at ``max_iterations``
-    (reported via RuntimeWarning; the distribution built so far is still
-    returned).  Since every round contributes at most 1/u_max, well-provisioned
+    distribution — strictly exceeds ``UTILIZATION_THRESHOLD``, or at
+    ``max_iterations`` (reported via RuntimeWarning; the distribution built
+    so far is still returned).  Since every round contributes at most 1/u_max, well-provisioned
     topologies accumulate many trees before stopping, which is what gives
     the scheme its path diversity.
 
@@ -300,14 +299,13 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
         weights[key] += 1.0 / u_max
         mass += 1.0 / u_max
 
-        factor_base = 1.0 + cfg.epsilon
         for (a, b), u in util.items():
-            boost = factor_base ** (u / u_max)
+            boost = (1.0 + EPSILON) ** (u / u_max)
             lengths[(a, b)] *= boost
             lengths[(b, a)] *= boost
         _log.debug("iteration %d: u_max=%.6g argmax=%s mass=%.6g trees=%d",
                    i, u_max, argmax, mass, len(order))
-        if mass > cfg.utilization_threshold:
+        if mass > UTILIZATION_THRESHOLD:
             hit_limit = False
             break
 

@@ -117,7 +117,7 @@ def max_min_allocate(link_capacity: float,
     """Water-filling: flows at or below the fair share keep their request;
     the residual capacity is re-divided among the rest.  The result is
     max-min optimal and never exceeds the capacity."""
-    if link_capacity <= 0:
+    if not link_capacity > 0:
         raise ValueError("capacity must be positive")
     order = sorted(requests.items(), key=lambda kv: (kv[1], str(kv[0])))
     alloc = {}

@@ -92,6 +92,33 @@ def test_run_unknown_algorithm_exits_2(topo_path, demand_files, tmp_path,
     assert "valid names" in err and "semimcfraecke" in err
 
 
+@pytest.mark.parametrize("token", ["-1", "abc", "nan"])
+def test_run_bad_tm_rate_exits_2(token, topo_path, tmp_path, capsys):
+    tms = tmp_path / "bad.tms"
+    tms.write_text(" ".join(["0"] + [token] + ["0"] * 142) + "\n")
+    rc = main(["run", "--topo", topo_path, "--tms", str(tms),
+               "--pred", str(tms), "--algos", "spf", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert f"{tms}:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topo_name, extra", [
+    ("path8", []),
+    # global recovery rebuilds the base on a reduced topology with bridges
+    ("abilene", ["--fail-num", "2", "--recovery", "global"]),
+])
+def test_run_ft_env_on_topology_with_bridges(topo_name, extra, tmp_path):
+    topo = str(fileio.bundled_topology_path(topo_name))
+    out = tmp_path / "g"
+    assert main(["gen-demands", "--topo", topo, "--num-tms", "1",
+                 "--seed", "5", "--out", str(out)]) == 0
+    rc = main(["run", "--topo", topo, "--tms", f"{out}.actual.tms",
+               "--pred", f"{out}.predicted.tms", "--algos", "semimcfmcfftenv",
+               "--steps", "2", *extra, "--out", str(tmp_path / "r")])
+    assert rc == 0
+
+
 def test_run_missing_topology_exits_2(tmp_path, capsys):
     rc = main(["run", "--topo", str(tmp_path / "absent.topo"),
                "--tms", "x", "--pred", "y", "--algos", "spf"])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import tekit
-from tekit.demand import (FlashConfig, GravityState, NoEligibleSinkError,
-                          ZeroDemandError, diurnal_scale, flash_burst,
-                          flash_sink, generate_sequences, gravity_tm, mh_step,
-                          normalize_scale, perturb_for_prediction, scale_factor)
+from tekit.demand import (FLASH_HALF_LIFE_STEPS, FlashConfig, GravityState,
+                          NoEligibleSinkError, ZeroDemandError, diurnal_scale,
+                          flash_burst, flash_sink, generate_sequences,
+                          gravity_tm, mh_step, perturb_for_prediction,
+                          scale_factor)
 from tekit.mcf import MwConfig, mcf_mw
 from tekit.model import TrafficMatrix
 
@@ -152,9 +153,10 @@ def test_flash_peak_formula():
 
 def test_flash_half_life():
     tm = _flash_tm()
-    cfg = FlashConfig(beta=2.0, half_life_steps=30)
+    cfg = FlashConfig(beta=2.0)
     peak = flash_burst(tm, cfg, elapsed=0, sink="h3").rates - tm.rates
-    half = flash_burst(tm, cfg, elapsed=30, sink="h3").rates - tm.rates
+    half = flash_burst(tm, cfg, elapsed=FLASH_HALF_LIFE_STEPS,
+                       sink="h3").rates - tm.rates
     assert np.allclose(half, peak / 2.0)
 
 
@@ -186,8 +188,8 @@ def test_normalize_identity_when_already_at_target(diamond):
     tm = tm_of(diamond, {("hs", "ht"): 20.0})
     base = mcf_mw(diamond, tm).max_congestion
     pre = tm.scaled(0.4 / base)
-    out = normalize_scale(diamond, [pre], 1.0)
-    assert out[0].total() == pytest.approx(pre.total(), rel=0.06)
+    out = pre.scaled(scale_factor(diamond, pre, 1.0))
+    assert out.total() == pytest.approx(pre.total(), rel=0.06)
 
 
 def test_normalize_scalar_linear_in_s(diamond):
@@ -202,15 +204,15 @@ def test_normalize_closed_loop(abilene, s):
     from tekit.demand import GravityState
     state = GravityState.initial(abilene.hosts, seed=13)
     tm = gravity_tm(state, 1e9)
-    out = normalize_scale(abilene, [tm, tm.scaled(1.1)], s)
-    check = mcf_mw(abilene, out[0]).max_congestion
+    out = tm.scaled(scale_factor(abilene, tm, s))
+    check = mcf_mw(abilene, out).max_congestion
     assert check == pytest.approx(0.4 * s, rel=2 * 0.05)
 
 
 def test_normalize_rejects_zero(diamond):
     zero = tm_of(diamond, {})
     with pytest.raises(ZeroDemandError):
-        normalize_scale(diamond, [zero], 1.0)
+        scale_factor(diamond, zero, 1.0)
 
 
 # -- prediction perturbation ---------------------------------------------------

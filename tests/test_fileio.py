@@ -134,6 +134,24 @@ def test_tm_line_wrong_arity():
         parse_tm_line("1 2 3", ("a", "b"))
 
 
+@pytest.mark.parametrize("token, msg", [
+    ("-1", "negative demand rate"),
+    ("abc", "could not convert"),
+    ("nan", "must be finite"),
+    ("inf", "must be finite"),
+])
+def test_tm_line_bad_rate(token, msg):
+    with pytest.raises(ParseError, match=msg):
+        parse_tm_line(f"0 {token} 1 0", ("a", "b"))
+
+
+def test_tm_sequence_bad_rate_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.tms"
+    path.write_text("0 1 2 0\n\n0 abc 2 0\n")
+    with pytest.raises(ParseError, match=r"bad\.tms:3: could not convert"):
+        read_tm_sequence(path, ("a", "b"))
+
+
 @st.composite
 def _tm_sequences(draw):
     n = draw(st.integers(1, 4))

@@ -4,14 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tekit
-from tekit import (EmptyWindowError, MissingPathsError, MwConfig,
-                   PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
+from tekit import (DisconnectedScenarioError, EmptyWindowError,
+                   MissingPathsError, MwConfig, PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
                    mcf_mw, optimal_mcf_step, semi_mcf, semi_mcf_env,
                    semi_mcf_ft_env, spf, validate_scheme)
 from tekit.baseline import KspConfig
 from tekit.model import Edge, Topology, TrafficMatrix
 
-from conftest import random_topology, tm_of
+from conftest import build_topology, random_topology, tm_of
 from helpers import lp_min_max_congestion, random_commodities
 
 
@@ -229,6 +229,26 @@ def test_ft_env_is_superset_of_env(abilene):
     ft = semi_mcf_ft_env(abilene, [tm])
     for pair in env:
         assert len(ft[pair]) >= len(env[pair])
+
+
+def test_ft_env_default_scenarios_skip_bridges():
+    # triangle a-b-c with a pendant switch d: c-d is a bridge
+    topo = build_topology("kite", [("a", "b"), ("a", "c"), ("b", "c"),
+                                   ("c", "d")])
+    tm = tm_of(topo, {}, default=5.0)
+    ft = semi_mcf_ft_env(topo, [tm])
+    assert ft == semi_mcf_ft_env(topo, [tm], failure_set=[("a", "b"),
+                                                          ("a", "c"),
+                                                          ("b", "c")])
+
+
+def test_ft_env_explicit_bridge_raises(path8):
+    tm = tm_of(path8, {("ha", "hb"): 10.0})
+    assert semi_mcf_ft_env(path8, [tm]) == semi_mcf_ft_env(
+        path8, [tm], failure_set=())
+    with pytest.raises(DisconnectedScenarioError) as err:
+        semi_mcf_ft_env(path8, [tm], failure_set=[("p4", "p3")])
+    assert err.value.link == ("p3", "p4")
 
 
 def test_flow_solution_text_report(diamond):

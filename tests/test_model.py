@@ -5,7 +5,7 @@ import tekit
 from tekit import (AlgorithmKind, Edge, Topology, TopologyError, TrafficMatrix,
                    churn, prune_to_budget, validate_scheme)
 from tekit.demand import GravityState, gravity_tm, mh_step
-from tekit.model import both_directions, lift
+from tekit.model import ALGORITHM_NAMES, both_directions, lift
 from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
 
 from conftest import tm_of
@@ -20,6 +20,14 @@ def test_topology_rejects_nonpositive_capacity():
     with pytest.raises(TopologyError):
         Topology("bad", {"a": "switch", "b": "switch"},
                  [Edge("a", "b", 0.0), Edge("b", "a", 0.0)])
+
+
+@pytest.mark.parametrize("cap, weight", [(float("nan"), 1.0),
+                                          (1.0, float("nan"))])
+def test_topology_rejects_nan_capacity_or_weight(cap, weight):
+    with pytest.raises(TopologyError):
+        Topology("bad", {"a": "switch", "b": "switch"},
+                 [Edge("a", "b", cap, weight), Edge("b", "a", cap, weight)])
 
 
 def test_topology_rejects_disconnected():
@@ -44,6 +52,9 @@ def test_traffic_matrix_invariants():
         TrafficMatrix(("a", "b"), np.array([[0.0, -1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         TrafficMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrafficMatrix(("a", "b"), np.array([[0.0, bad], [0.0, 0.0]]))
     tm = TrafficMatrix(("b", "a"), np.array([[0.0, 2.0], [3.0, 0.0]]))
     assert tm.hosts == ("a", "b")  # sorted
     assert tm.get("a", "b") == 2.0
@@ -195,6 +206,18 @@ def test_algorithm_kind_parsing():
         AlgorithmKind.parse("bogus")
     with pytest.raises(ValueError):
         AlgorithmKind("semimcf", "semimcf")
+
+
+def test_algorithm_kind_catalogue_has_one_rule():
+    env = AlgorithmKind.parse("semimcfmcfenv")
+    assert (env.tag, env.base, env.name) == ("semimcf", "mcfenv",
+                                             "semimcfmcfenv")
+    assert AlgorithmKind.parse("semimcfmcfftenv").base == "mcfftenv"
+    for name in ALGORITHM_NAMES:
+        assert AlgorithmKind.parse(name).name == name
+    for tag in ("bogus", "semimcfmcfenv", "semimcfraecke"):
+        with pytest.raises(ValueError, match="unknown algorithm tag"):
+            AlgorithmKind(tag)
 
 
 # -- switch edges and the host lift --------------------------------------------

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tekit
@@ -76,6 +76,7 @@ def test_water_filling_properties(cap, reqs):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(cap=st.floats(max_value=0.0, allow_nan=False), reqs=_requests)
+@example(cap=float("nan"), reqs={0: 1.0})
 def test_water_filling_rejects_nonpositive_capacity(cap, reqs):
     with pytest.raises(ValueError, match="capacity must be positive"):
         max_min_allocate(cap, reqs)
@@ -373,3 +374,15 @@ def test_reweight_phase_limit_carries_stranded_pairs(abilene):
     scheme = info.value.solution.scheme
     assert scheme[("h1", "h2")] == {}
     assert set(scheme) == set(base)
+
+
+@pytest.mark.parametrize("name, events", [
+    ("mcf", 1), ("semimcfraecke", 1), ("semimcfmcfenv", 2)])
+def test_make_scheme_warns_once_per_phase_limit(abilene, name, events):
+    state = GravityState.initial(abilene.hosts, seed=12)
+    tm = gravity_tm(state, 6e9)
+    cfg = tekit.BuildConfig(mw=MwConfig(max_phases=2))
+    with pytest.warns(RuntimeWarning, match="phase limit") as caught:
+        scheme = tekit.make_scheme(name, abilene, tm, cfg)
+    assert len(caught) == events
+    assert tekit.validate_scheme(scheme, abilene) == []
