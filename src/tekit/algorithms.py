@@ -102,7 +102,7 @@ class SchemeDriver:
                 "mcfenv": lambda: semi_mcf_env(topo, tms, cfg.mw),
                 "mcfftenv": lambda: semi_mcf_ft_env(topo, tms, None, cfg.mw),
             }[kind.base]
-        else:  # conscious kinds (mcf, mw, optimalmcf) build per matrix
+        else:  # conscious kinds (mcf, optimalmcf) build per matrix
             return
         self.base = self._budgeted(self.timed(label, builder))
         self.installed = self.base
@@ -138,7 +138,7 @@ class SchemeDriver:
                                                predicted, self.cfg.mw))
         if kind.tag == "optimalmcf":
             topo, tm = topo_current, actual
-        else:  # mcf / mw
+        else:  # mcf
             topo, tm = self.topo, predicted
         self.installed = self.solve_conscious(topo, tm,
                                               f"{kind.name} solve tm{t}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -138,6 +139,11 @@ def _load_inputs(args):
     return topo, actual, predicted
 
 
+def _check_scale(scale: float | None) -> None:
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise InputError(f"--scale must be finite and > 0, got {scale!r}")
+
+
 def _workers(num_algos: int) -> int:
     """TEKIT_PARALLEL as a worker count: an integer >= 1, capped at one
     worker per algorithm and per CPU."""
@@ -165,10 +171,21 @@ def cmd_run(args) -> int:
             AlgorithmKind.parse(name)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+    _check_scale(args.scale)
+    try:
+        mw = MwConfig(accuracy=args.accuracy, max_phases=args.max_phases)
+        flash = (FlashConfig(beta=args.flash_beta, sink_seed=args.seed)
+                 if args.flash_beta != 0 else None)
+        cfg = SimConfig(steps_per_tm=args.steps, phi=args.fail_num,
+                        budget=args.budget, recovery=args.recovery,
+                        flash=flash, flash_lag=args.flash_lag,
+                        flash_recovery_period=args.flash_recovery_period,
+                        seed=args.seed, mw=mw)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     workers = _workers(len(names))
     topo, actual, predicted = _load_inputs(args)
 
-    mw = MwConfig(accuracy=args.accuracy, max_phases=args.max_phases)
     hit_limit = False
     if args.scale is not None:
         try:
@@ -181,14 +198,6 @@ def cmd_run(args) -> int:
             factor = 0.4 * args.scale / exc.solution.max_congestion
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]
-
-    flash = (FlashConfig(beta=args.flash_beta, sink_seed=args.seed)
-             if args.flash_beta > 0 else None)
-    cfg = SimConfig(steps_per_tm=args.steps, phi=args.fail_num,
-                    budget=args.budget, recovery=args.recovery, flash=flash,
-                    flash_lag=args.flash_lag,
-                    flash_recovery_period=args.flash_recovery_period,
-                    seed=args.seed, mw=mw)
 
     base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
     run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
@@ -265,6 +274,7 @@ def cmd_gen_demands(args) -> int:
         raise InputError("--num-tms must be >= 1")
     if not (0.0 <= args.prediction_error < 1.0):
         raise InputError("--prediction-error must lie in [0, 1)")
+    _check_scale(args.scale)
     actual, predicted = demand.generate_sequences(
         topo, args.num_tms, seed=args.seed, epsilon=args.prediction_error,
         scale=args.scale, diurnal=args.diurnal)

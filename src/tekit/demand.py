@@ -170,8 +170,9 @@ class FlashConfig:
     sink_seed: int = 0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"flash beta must be finite and >= 0, "
+                             f"got {self.beta!r}")
 
 
 def flash_sink(tm: TrafficMatrix, cfg: FlashConfig, tm_index: int = 0) -> str:

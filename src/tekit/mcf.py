@@ -324,7 +324,7 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
 
     dists = _distributions(pool, counts, first, denom, len(keys))
     for pair, sw_key in pair_sw.items():
-        scheme[pair] = normalized({attach_stubs(topo, *pair, p): v
+        scheme[pair] = normalized({attach_stubs(*pair, p): v
                                    for p, v in dists[commodity[sw_key]].items()})
     return _certified(topo, scheme, tm, t0, iters,
                       lb * d_ref / float(cap.max()), converged, cfg)
@@ -451,9 +451,3 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
         scheme[pair] = {p: share for p in sorted(paths)}
     return scheme
 
-
-def optimal_mcf_step(topo_current: Topology, tm_actual: TrafficMatrix,
-                     cfg: MwConfig = MwConfig()) -> FlowSolution:
-    """Omniscient baseline: re-solve on the current (possibly
-    failure-reduced) topology with the actual, unpredicted demands."""
-    return mcf_mw(topo_current, tm_actual, cfg)

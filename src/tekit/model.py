@@ -229,7 +229,7 @@ class TrafficMatrix:
 #: Demand-independent path selectors (fixed paths and weights).
 OBLIVIOUS_TAGS = ("spf", "ecmp", "ksp", "vlb", "raecke")
 #: Algorithms that solve paths and weights per matrix.
-CONSCIOUS_TAGS = ("mcf", "mw", "optimalmcf")
+CONSCIOUS_TAGS = ("mcf", "optimalmcf")
 #: Path sets an adaptive-weight ``semimcf`` variant may start from: the
 #: oblivious ones, one matrix's solution, and the envelope solutions.
 BASE_TAGS = OBLIVIOUS_TAGS + ("mcf", "mcfenv", "mcfftenv")
@@ -366,7 +366,7 @@ def validate_scheme(scheme: Scheme, topo: Topology) -> list[str]:
     return violations
 
 
-def attach_stubs(topo: Topology, src: str, dst: str, switch_path: Path) -> Path:
+def attach_stubs(src: str, dst: str, switch_path: Path) -> Path:
     """Turn a switch-level path into a host-to-host path.
 
     ``switch_path`` runs from src's switch to dst's switch; a single-switch
@@ -396,7 +396,7 @@ def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]]
             key = (s, topo.host_switch(dst))
             if key not in routes:
                 routes[key] = {(s,): 1.0} if key[0] == key[1] else route(*key)
-            scheme[(src, dst)] = {attach_stubs(topo, src, dst, p): w
+            scheme[(src, dst)] = {attach_stubs(src, dst, p): w
                                   for p, w in routes[key].items()}
     return scheme
 

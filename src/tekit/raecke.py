@@ -20,6 +20,7 @@ leans on so later rounds route around them.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -32,6 +33,7 @@ from . import graphops
 from .model import Path, Scheme, Topology, lift, normalized
 
 Link = tuple[str, str]  # undirected switch link, endpoints sorted
+Climb = list[tuple[int, Path]]  # see RoutingTree.climb
 
 _log = logging.getLogger(__name__)
 
@@ -67,51 +69,47 @@ class RoutingTree:
     edge_paths: tuple[Path, ...]
     leaf_index: Mapping[str, int]
 
-    def depth(self, i: int) -> int:
-        d = 0
+    def climb(self, s: str) -> Climb:
+        """Switch s's leaf and its ancestors from the root down, each paired
+        with the physical walk from s to that cluster's representative."""
+        i = self.leaf_index[s]
+        climb = [(i, (s,))]
         while self.parent[i] is not None:
+            climb.append((self.parent[i],
+                          climb[-1][1] + self.edge_paths[i][-2::-1]))
             i = self.parent[i]
-            d += 1
-        return d
+        return climb[::-1]
+
+    def climbs(self) -> dict[str, Climb]:
+        """Every switch's climb: the table all tree walks are read from."""
+        return {s: self.climb(s) for s in self.leaf_index}
 
     def walk(self, u: str, v: str) -> Path:
         """Physical walk from switch u to switch v along the tree path."""
-        if u == v:
-            return (u,)
-        iu, iv = self.leaf_index[u], self.leaf_index[v]
-        up: list[int] = []
-        down: list[int] = []
-        du, dv = self.depth(iu), self.depth(iv)
-        while du > dv:
-            up.append(iu)
-            iu = self.parent[iu]
-            du -= 1
-        while dv > du:
-            down.append(iv)
-            iv = self.parent[iv]
-            dv -= 1
-        while iu != iv:
-            up.append(iu)
-            down.append(iv)
-            iu = self.parent[iu]
-            iv = self.parent[iv]
-        walk: Path = (u,)
-        for i in up:
-            walk = graphops.concatenate(walk, tuple(reversed(self.edge_paths[i])))
-        for i in reversed(down):
-            walk = graphops.concatenate(walk, self.edge_paths[i])
-        return walk
+        return _splice(self.climb(u), self.climb(v))
 
-    def canonical(self) -> tuple:
-        """Routing identity: the walk every switch pair is assigned.
 
-        Two trees with different cluster structures can still route every
-        pair identically; for everything downstream they are the same tree,
-        so the distribution merges them by this key.
-        """
-        sws = sorted(self.leaf_index)
-        return tuple(self.walk(u, v)
-                     for i, u in enumerate(sws) for v in sws[i + 1:])
+def _fork(cu: Climb, cv: Climb) -> int:
+    """Index of the lowest common ancestor in two climbs."""
+    k = 0
+    while k + 1 < min(len(cu), len(cv)) and cu[k + 1][0] == cv[k + 1][0]:
+        k += 1
+    return k
+
+
+def _splice(cu: Climb, cv: Climb) -> Path:
+    """Tree walk between two switches: the first one's climb up to their
+    lowest common ancestor, followed by the second one's climb reversed."""
+    k = _fork(cu, cv)
+    return cu[k][1] + cv[k][1][-2::-1]
+
+
+def _canonical(climbs: Mapping[str, Climb]) -> tuple:
+    """Routing identity of a tree: the walk every switch pair is assigned.
+    Trees that route every pair identically are the same tree downstream."""
+    sws = sorted(climbs)
+    return tuple(_splice(climbs[u], climbs[v])
+                 for i, u in enumerate(sws) for v in sws[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -166,40 +164,36 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     clusters: list[frozenset] = [frozenset(switches)]
     parents: list = [None]
     frontier = [0]
-
-    if len(switches) > 1:
-        diam = max(max(row.values()) for row in dist.values())
-        level = math.ceil(math.log2(diam)) if diam > 0 else 0
-        while frontier:
-            radius = scale * (2.0 ** level)
-            next_frontier: list[int] = []
-            for ci in frontier:
-                members = clusters[ci]
-                if len(members) == 1:
-                    continue
-                groups: dict[str, set] = {}
-                for v in sorted(members):
-                    center = next(u for u in order if dist[u][v] <= radius)
-                    groups.setdefault(center, set()).add(v)
-                parts = [groups[c] for c in order if c in groups]
-                if len(parts) == 1:
-                    # cluster did not split at this radius; try the next level
-                    next_frontier.append(ci)
-                    continue
-                for part in parts:
-                    clusters.append(frozenset(part))
-                    parents.append(ci)
-                    if len(part) > 1:
-                        next_frontier.append(len(clusters) - 1)
-            frontier = next_frontier
-            level -= 1
+    diam = max(max(row.values()) for row in dist.values())
+    level = math.ceil(math.log2(diam)) if diam > 0 else 0
+    while frontier:
+        radius = scale * (2.0 ** level)
+        next_frontier: list[int] = []
+        for ci in frontier:
+            members = clusters[ci]
+            if len(members) == 1:
+                continue
+            groups: dict[str, set] = {}
+            for v in sorted(members):
+                center = next(u for u in order if dist[u][v] <= radius)
+                groups.setdefault(center, set()).add(v)
+            parts = [groups[c] for c in order if c in groups]
+            if len(parts) == 1:
+                # cluster did not split at this radius; try the next level
+                next_frontier.append(ci)
+                continue
+            for part in parts:
+                clusters.append(frozenset(part))
+                parents.append(ci)
+                if len(part) > 1:
+                    next_frontier.append(len(clusters) - 1)
+        frontier = next_frontier
+        level -= 1
 
     reps = tuple(rep(c) for c in clusters)
     paths = [(reps[i],) if p is None else runs[reps[p]][1][reps[i]]
              for i, p in enumerate(parents)]
     leaf_index = {next(iter(c)): i for i, c in enumerate(clusters) if len(c) == 1}
-    if len(switches) == 1:
-        leaf_index = {switches[0]: 0}
     return RoutingTree(tuple(clusters), tuple(parents), reps, tuple(paths),
                        leaf_index)
 
@@ -208,11 +202,12 @@ def stretch(tree: RoutingTree, topo: Topology,
             lengths: Mapping[tuple[str, str], float]) -> float:
     """Capacity-weighted average, over switch links, of (tree walk length
     between the link's endpoints) / (the link's own length)."""
+    climbs = tree.climbs()
     num = 0.0
     den = 0.0
     for (u, v) in topo.links():
         cap = topo.edges[(u, v)].capacity
-        walk_len = graphops.path_cost(lengths, tree.walk(u, v))
+        walk_len = graphops.path_cost(lengths, _splice(climbs[u], climbs[v]))
         num += cap * walk_len / lengths[(u, v)]
         den += cap
     return num / den if den else 0.0
@@ -222,29 +217,26 @@ def _link(u: str, v: str) -> Link:
     return (u, v) if u < v else (v, u)
 
 
-def _tree_utilization(tree: RoutingTree, topo: Topology) -> dict[Link, float]:
+def _tree_utilization(tree: RoutingTree, topo: Topology,
+                      climbs: Mapping[str, Climb]) -> dict[Link, float]:
     """Worst-case utilization bound u(e, T) per undirected link.
 
     Each tree edge could be asked to carry, at worst, all traffic crossing
     the cluster boundary it represents — the total capacity of the physical
     edges leaving the child cluster.  That bound is charged to every link on
     the tree edge's physical path and divided by the link's own capacity.
+    An edge (a, b) leaves exactly the clusters on a's climb below the lowest
+    common ancestor of a and b.
     """
-    boundary_cap: list[float] = []
-    for i, cluster in enumerate(tree.clusters):
-        if tree.parent[i] is None:
-            boundary_cap.append(0.0)
-            continue
-        cap = 0.0
-        for (a, b) in topo.switch_edges:
-            if a in cluster and b not in cluster:
-                cap += topo.edges[(a, b)].capacity
-        boundary_cap.append(cap)
+    boundary_cap = [0.0] * len(tree.clusters)
+    for (a, b) in topo.switch_edges:
+        cap = topo.edges[(a, b)].capacity
+        climb = climbs[a]
+        for i, _ in climb[_fork(climb, climbs[b]) + 1:]:
+            boundary_cap[i] += cap
 
     util: dict[Link, float] = {lk: 0.0 for lk in topo.links()}
     for i, path in enumerate(tree.edge_paths):
-        if tree.parent[i] is None or len(path) < 2:
-            continue
         for (a, b) in zip(path, path[1:]):
             util[_link(a, b)] += boundary_cap[i]
     for (u, v) in util:
@@ -288,10 +280,11 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
     for i in range(cfg.max_iterations):
         iterations = i + 1
         tree = frt_tree(topo, lengths, [cfg.seed, i])
-        util = _tree_utilization(tree, topo)
+        climbs = tree.climbs()
+        util = _tree_utilization(tree, topo, climbs)
         u_max = max(util.values())
         argmax = max(util, key=util.__getitem__)
-        key = tree.canonical()
+        key = _canonical(climbs)
         if key not in weights:
             weights[key] = 0.0
             first_tree[key] = tree
@@ -325,13 +318,14 @@ def paths_from_distribution(dist: TreeDistribution, topo: Topology) -> Scheme:
     Each tree contributes its switch-pair path (the tree walk, loop-shortcut
     to a simple path) with the tree's probability; identical physical paths
     from different trees merge by summing.  ``model.lift`` attaches the host
-    stubs.
+    stubs.  One tree's climbs are held at a time.
     """
-    def route(s: str, d: str) -> dict[Path, float]:
-        acc: dict[Path, float] = {}
-        for tree, prob in dist.trees:
-            path = graphops.shortcut(tree.walk(s, d))
-            acc[path] = acc.get(path, 0.0) + prob
-        return normalized(acc)
-
-    return lift(topo, route)
+    served = sorted({topo.host_switch(h) for h in topo.hosts})
+    acc: dict[tuple[str, str], dict[Path, float]] = {}
+    for tree, prob in dist.trees:
+        climbs = tree.climbs()
+        for s, d in itertools.permutations(served, 2):
+            path = graphops.shortcut(_splice(climbs[s], climbs[d]))
+            paths = acc.setdefault((s, d), {})
+            paths[path] = paths.get(path, 0.0) + prob
+    return lift(topo, lambda s, d: normalized(acc.pop((s, d))))

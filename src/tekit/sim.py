@@ -61,8 +61,12 @@ class SimConfig(algorithms.BuildConfig):
     def __post_init__(self):
         if self.phi < 0:
             raise ValueError("phi must be >= 0")
+        if self.steps_per_tm < 1:
+            raise ValueError("steps per matrix must be >= 1")
         if self.flash_lag < 0:
             raise ValueError("flash lag must be >= 0")
+        if self.flash_recovery_period < 1:
+            raise ValueError("flash recovery period must be >= 1")
         if self.recovery not in ("none", "local", "global"):
             raise ValueError("recovery must be none, local or global")
         if self.budget is not None and self.budget < 1:

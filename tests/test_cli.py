@@ -119,6 +119,35 @@ def test_run_ft_env_on_topology_with_bridges(topo_name, extra, tmp_path):
     assert rc == 0
 
 
+BAD_FLAGS = [
+    ("run", "--scale", "nan"), ("run", "--scale", "inf"),
+    ("run", "--scale", "-1"), ("run", "--scale", "0"),
+    ("gen-demands", "--scale", "nan"), ("gen-demands", "--scale", "inf"),
+    ("gen-demands", "--scale", "-1"),
+    ("run", "--flash-beta", "nan"), ("run", "--flash-beta", "-1"),
+    ("run", "--flash-beta", "inf"), ("run", "--flash-recovery-period", "0"),
+    ("run", "--budget", "0"), ("run", "--accuracy", "0"),
+    ("run", "--max-phases", "0"), ("run", "--fail-num", "-1"),
+    ("run", "--flash-lag", "-1"), ("run", "--steps", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
+def test_bad_flag_value_exits_2(command, flag, value, topo_path,
+                                demand_files, tmp_path, capsys):
+    if command == "run":
+        argv = ["run", "--topo", topo_path,
+                "--tms", f"{demand_files}.actual.tms",
+                "--pred", f"{demand_files}.predicted.tms",
+                "--algos", "semimcfraecke", "--steps", "2"]
+    else:
+        argv = ["gen-demands", "--topo", topo_path, "--num-tms", "1"]
+    rc = main(argv + [f"{flag}={value}", "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_missing_topology_exits_2(tmp_path, capsys):
     rc = main(["run", "--topo", str(tmp_path / "absent.topo"),
                "--tms", "x", "--pred", "y", "--algos", "spf"])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import tekit
 from tekit import (DisconnectedScenarioError, EmptyWindowError,
                    MissingPathsError, MwConfig, PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
-                   mcf_mw, optimal_mcf_step, semi_mcf, semi_mcf_env,
-                   semi_mcf_ft_env, spf, validate_scheme)
+                   mcf_mw, semi_mcf, semi_mcf_env, semi_mcf_ft_env, spf,
+                   validate_scheme)
 from tekit.baseline import KspConfig
 from tekit.model import Edge, Topology, TrafficMatrix
 
@@ -152,7 +152,7 @@ def test_semi_full_base_matches_unrestricted(seed):
             s_sw, d_sw = topo.host_switch(s), topo.host_switch(d)
             paths = ([(s_sw,)] if s_sw == d_sw
                      else enumerate_simple_paths(adj, s_sw, d_sw))
-            base[(s, d)] = {attach_stubs(topo, s, d, tuple(p)): 1.0 / len(paths)
+            base[(s, d)] = {attach_stubs(s, d, tuple(p)): 1.0 / len(paths)
                             for p in paths}
     rng = np.random.default_rng(seed)
     commodities = random_commodities(topo, rng, 3)
@@ -264,7 +264,7 @@ def test_flow_solution_text_report(diamond):
 def test_optimal_step_runs_on_reduced_topology(abilene):
     reduced = abilene.without_links([("s2", "s12")])
     tm = tm_of(abilene, {}, default=2e8)
-    sol = optimal_mcf_step(reduced, tm)
+    sol = mcf_mw(reduced, tm)
     assert validate_scheme(sol.scheme, reduced) == []
     for dist in sol.scheme.values():
         for path in dist:

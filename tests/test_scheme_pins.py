@@ -4,7 +4,9 @@ Each digest covers the order of the host pairs, the order of the paths
 within each pair and the ``repr`` of every probability, so a change to
 dict order or to the last bit of a probability fails here.  The
 ``shared`` topology adds hosts that sort before (``a*``) and after
-(``z*``) abilene's ``h*`` hosts and share switches with them.
+(``z*``) abilene's ``h*`` hosts and share switches with them.  The Räcke
+tree distributions behind the ``raecke`` schemes are pinned as well: their
+canonical text and the stretch of their first tree.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import pytest
 
 from tekit import (Edge, RaeckeConfig, Topology, ecmp, ksp,
                    load_bundled_topology, paths_from_distribution,
-                   raecke_distribution, spf, vlb)
+                   raecke_distribution, spf, stretch, vlb)
 
 
 def scheme_digest(scheme) -> str:
@@ -83,3 +85,32 @@ def topologies():
 def test_builder_output_is_pinned(topologies, topo_name, builder):
     scheme = BUILDERS[builder](topologies[topo_name])
     assert scheme_digest(scheme) == PINS[(topo_name, builder)]
+
+
+#: sha256 of ``TreeDistribution.serialize()`` and of the ``repr`` of the
+#: first tree's stretch under the distribution's final lengths
+DIST_PINS = {
+    ("abilene", 0): (
+        "e581818e31cbe58f3087b819328f3573eb0de637a251292305b289a48b7cf0be",
+        "85a05731bfb2c28ca9ea46fcd30199e268bb68aa6fe5740509979a942c050fd3"),
+    ("abilene", 1): (
+        "41d14d0040e1cb02828d72347d424f8895613f9ed203d21b9c4d214333d67cef",
+        "8344c427aca549fa271d555e9d6ff0717bb02f640779ed2e61510cc0f4ab9207"),
+    ("shared", 0): (
+        "e581818e31cbe58f3087b819328f3573eb0de637a251292305b289a48b7cf0be",
+        "85a05731bfb2c28ca9ea46fcd30199e268bb68aa6fe5740509979a942c050fd3"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("topo_name, seed", sorted(DIST_PINS))
+def test_tree_distribution_is_pinned(topologies, topo_name, seed):
+    topo = topologies[topo_name]
+    dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+    first = dist.trees[0][0]
+    got = (_sha256(dist.serialize()),
+           _sha256(repr(stretch(first, topo, dist.lengths_final))))
+    assert got == DIST_PINS[(topo_name, seed)]
