@@ -73,8 +73,6 @@ def vlb(topo: Topology) -> Scheme:
     no available intermediate (same switch, or a two-switch network) fall
     back to the direct shortest path.
     """
-    if len(topo.switches) < 2:
-        raise ValueError("load-balanced routing needs at least 2 switches")
     best = _shortest(topo)
 
     def route(s: str, d: str) -> dict[Path, float]:

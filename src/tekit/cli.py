@@ -4,22 +4,23 @@ Two subcommands::
 
     tekit run --topo T.topo --tms actual.tms --pred predicted.tms \
               --algos spf,semimcfraecke [--budget K] [--scale S] \
-              [--fail-num PHI] [--recovery none|local|global] \
+              [--fail-num PHI] [--recovery MODE] \
               [--flash-beta B] [--flash-lag D] [--flash-recovery-period P] \
               [--seed N] [--steps N] [--out DIR] [--strict] [--timings] \
               [--verbose]
 
     tekit gen-demands --topo T.topo --num-tms N [--scale S] \
-              [--prediction-error E] [--flash-beta B] [--seed N] \
-              [--diurnal] --out PREFIX
+              [--prediction-error E] [--seed N] [--diurnal] --out PREFIX
 
 ``run`` writes one CSV per algorithm plus a structured summary and a
 cross-algorithm comparison table into an output directory whose name embeds
 topology, scale, failure count, budget and seed.  All numeric output is
 deterministic for a fixed seed; wall-clock timings are only written with
 --timings.  --verbose sends the ``tekit`` loggers' records (Raecke
-iterations, solver phase-limit notes) to stderr.  Exit codes: 0 success,
-2 bad input, 3 an internal solver limit was hit and --strict was given.
+iterations, solver phase-limit notes) to stderr.  Flags that set a config
+field take their default and bounds from that config.  Exit codes: 0
+success, 2 bad input (also a --fail-num the topology cannot lose), 3 an
+internal solver limit was hit and --strict was given.
 
 Environment overrides: TEKIT_OUT_DIR (base output directory),
 TEKIT_PARALLEL (worker processes across algorithm runs; an integer >= 1,
@@ -72,6 +73,21 @@ def _log_to_stderr(verbose: bool) -> None:
         pkg.setLevel(logging.NOTSET)
 
 
+#: ``run`` flags that set a config field, as flag: (config, field, type).
+#: Each takes its default and its bounds from that config.
+_CONFIG_FLAGS = {
+    "--budget": (SimConfig, "budget", int),
+    "--fail-num": (SimConfig, "phi", int),
+    "--flash-beta": (FlashConfig, "beta", float),
+    "--flash-lag": (SimConfig, "flash_lag", int),
+    "--flash-recovery-period": (SimConfig, "flash_recovery_period", int),
+    "--seed": (SimConfig, "seed", int),
+    "--steps": (SimConfig, "steps_per_tm", int),
+    "--accuracy": (MwConfig, "accuracy", float),
+    "--max-phases": (MwConfig, "max_phases", int),
+}
+
+
 def _parse_args(argv):
     top = argparse.ArgumentParser(prog="tekit", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -83,22 +99,15 @@ def _parse_args(argv):
     run.add_argument("--pred", required=True, help="predicted traffic matrix file")
     run.add_argument("--algos", required=True,
                      help="comma-separated algorithm names")
-    run.add_argument("--budget", type=int, default=None)
     run.add_argument("--scale", type=float, default=None,
                      help="rescale demands so the first matrix's optimal "
                           "congestion is 0.4*S")
-    run.add_argument("--fail-num", type=int, default=0, dest="fail_num")
-    run.add_argument("--recovery", choices=("none", "local", "global"),
-                     default="none")
-    run.add_argument("--flash-beta", type=float, default=0.0)
-    run.add_argument("--flash-lag", type=int, default=8)
-    run.add_argument("--flash-recovery-period", type=int, default=200)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--steps", type=int, default=1000,
-                     help="simulation steps per traffic matrix")
-    run.add_argument("--accuracy", type=float, default=0.05)
-    run.add_argument("--max-phases", type=int, default=5000, dest="max_phases",
-                     help="solver iteration cap before PhaseLimit")
+    run.add_argument("--recovery", choices=sim.RECOVERY_MODES,
+                     default=SimConfig.recovery)
+    for flag, (config, field, kind) in _CONFIG_FLAGS.items():
+        run.add_argument(flag, type=kind, dest=field,
+                         default=getattr(config, field),
+                         help=f"{config.__name__}.{field}, default %(default)s")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--strict", action="store_true",
                      help="exit 3 if a solver hits its phase limit")
@@ -114,7 +123,6 @@ def _parse_args(argv):
     gen.add_argument("--scale", type=float, default=None)
     gen.add_argument("--prediction-error", type=float, default=0.0,
                      dest="prediction_error")
-    gen.add_argument("--flash-beta", type=float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--diurnal", action="store_true")
     gen.add_argument("--out", required=True, help="output file prefix")
@@ -122,11 +130,15 @@ def _parse_args(argv):
     return top.parse_args(argv)
 
 
-def _load_inputs(args):
+def _load_topology(path):
     try:
-        topo = fileio.load_topology(args.topo)
+        return fileio.load_topology(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"topology: {exc}") from exc
+
+
+def _load_inputs(args):
+    topo = _load_topology(args.topo)
     try:
         actual = fileio.read_tm_sequence(args.tms, topo.hosts)
         predicted = fileio.read_tm_sequence(args.pred, topo.hosts)
@@ -157,9 +169,29 @@ def _workers(num_algos: int) -> int:
     return min(workers, num_algos, os.cpu_count() or 1)
 
 
+def _sim_config(args) -> SimConfig:
+    """The run's settings; a flag value its config rejects is an InputError
+    that names the flag."""
+    for flag, (config, field, _) in _CONFIG_FLAGS.items():
+        value = getattr(args, field)
+        try:
+            config(**{field: value})
+        except ValueError as exc:
+            raise InputError(f"{flag} {value}: {exc}") from exc
+    return SimConfig(
+        steps_per_tm=args.steps_per_tm, phi=args.phi, budget=args.budget,
+        recovery=args.recovery,
+        flash=FlashConfig(beta=args.beta, sink_seed=args.seed),
+        flash_lag=args.flash_lag,
+        flash_recovery_period=args.flash_recovery_period, seed=args.seed,
+        mw=MwConfig(accuracy=args.accuracy, max_phases=args.max_phases))
+
+
 def _run_one(topo, name, actual, predicted, cfg):
-    report = sim.simulate(topo, name, actual, predicted, cfg)
-    return name, report
+    try:
+        return name, sim.simulate(topo, name, actual, predicted, cfg)
+    except (sim.InfeasibleFailureError, demand.NoEligibleSinkError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_run(args) -> int:
@@ -172,24 +204,14 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     _check_scale(args.scale)
-    try:
-        mw = MwConfig(accuracy=args.accuracy, max_phases=args.max_phases)
-        flash = (FlashConfig(beta=args.flash_beta, sink_seed=args.seed)
-                 if args.flash_beta != 0 else None)
-        cfg = SimConfig(steps_per_tm=args.steps, phi=args.fail_num,
-                        budget=args.budget, recovery=args.recovery,
-                        flash=flash, flash_lag=args.flash_lag,
-                        flash_recovery_period=args.flash_recovery_period,
-                        seed=args.seed, mw=mw)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cfg = _sim_config(args)
     workers = _workers(len(names))
     topo, actual, predicted = _load_inputs(args)
 
     hit_limit = False
     if args.scale is not None:
         try:
-            factor = demand.scale_factor(topo, actual[0], args.scale, mw)
+            factor = demand.scale_factor(topo, actual[0], args.scale, cfg.mw)
         except demand.ZeroDemandError as exc:
             raise InputError(str(exc)) from exc
         except PhaseLimitError as exc:
@@ -198,12 +220,6 @@ def cmd_run(args) -> int:
             factor = 0.4 * args.scale / exc.solution.max_congestion
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]
-
-    base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
-    run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
-               f"_phi{args.fail_num}_b{args.budget or 0}_seed{args.seed}")
-    out_dir = FsPath(base_out) / run_tag
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
@@ -215,25 +231,26 @@ def cmd_run(args) -> int:
     else:
         results = [_run_one(topo, n, actual, predicted, cfg) for n in names]
 
-    summaries = {}
+    base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
+    run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
+               f"_phi{args.phi}_b{args.budget or 0}_seed{args.seed}")
+    out_dir = FsPath(base_out) / run_tag
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    lines = [",".join(("algorithm",) + sim.RUN_METRICS)]
     for name, report in results:
         summary = sim.metrics_rollup(report)
-        summaries[name] = summary
+        metrics = {key: getattr(summary, key) for key in sim.RUN_METRICS}
+        lines.append(",".join([name] + [repr(v) for v in metrics.values()]))
         (out_dir / f"{name}.csv").write_text(sim.report_to_csv(summary))
         blob = {
             "algorithm": name,
             "topology": topo.name,
             "num_tms": report.num_tms,
             "steps_per_tm": report.steps_per_tm,
-            "throughput_fraction": summary.throughput_fraction,
-            "congestion_loss_fraction": summary.congestion_loss_fraction,
-            "failure_loss_fraction": summary.failure_loss_fraction,
-            "mean_max_congestion": summary.mean_max_congestion,
-            "peak_congestion": summary.peak_congestion,
-            "total_churn": summary.total_churn,
-            "mean_paths_per_tm": summary.mean_paths_per_tm,
             "latency_cdf": list(summary.latency_cdf),
             "phase_limit_events": report.phase_limit_events,
+            **metrics,
         }
         if args.timings:
             blob["solver_time_total"] = summary.solver_time_total
@@ -245,16 +262,6 @@ def cmd_run(args) -> int:
             for ev in report.phase_limit_events:
                 _log.info("note: %s", ev)
 
-    lines = ["algorithm,throughput_fraction,congestion_loss_fraction,"
-             "failure_loss_fraction,mean_max_congestion,peak_congestion,"
-             "total_churn,mean_paths_per_tm"]
-    for name in names:
-        s = summaries[name]
-        lines.append(f"{name},{s.throughput_fraction!r},"
-                     f"{s.congestion_loss_fraction!r},"
-                     f"{s.failure_loss_fraction!r},{s.mean_max_congestion!r},"
-                     f"{s.peak_congestion!r},{s.total_churn},"
-                     f"{s.mean_paths_per_tm!r}")
     (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
 
     if args.verbose:
@@ -266,18 +273,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_demands(args) -> int:
-    try:
-        topo = fileio.load_topology(args.topo)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"topology: {exc}") from exc
+    topo = _load_topology(args.topo)
     if args.num_tms < 1:
         raise InputError("--num-tms must be >= 1")
     if not (0.0 <= args.prediction_error < 1.0):
         raise InputError("--prediction-error must lie in [0, 1)")
     _check_scale(args.scale)
-    actual, predicted = demand.generate_sequences(
-        topo, args.num_tms, seed=args.seed, epsilon=args.prediction_error,
-        scale=args.scale, diurnal=args.diurnal)
+    try:
+        actual, predicted = demand.generate_sequences(
+            topo, args.num_tms, seed=args.seed, epsilon=args.prediction_error,
+            scale=args.scale, diurnal=args.diurnal)
+    except ValueError as exc:  # e.g. a gravity model over one host
+        raise InputError(str(exc)) from exc
     prefix = FsPath(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_tm_sequence(f"{prefix}.actual.tms", actual)
@@ -289,7 +296,6 @@ def cmd_gen_demands(args) -> int:
         "seed": args.seed,
         "scale": args.scale,
         "prediction_error": args.prediction_error,
-        "flash_beta": args.flash_beta,
         "diurnal": args.diurnal,
         "diurnal_note": "weekly template is a fixed synthetic stand-in",
         "pareto_shape": demand.PARETO_SHAPE,

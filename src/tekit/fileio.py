@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Edge, Topology, TrafficMatrix
+from .model import Edge, Topology, TrafficMatrix, link_key
 
 _CAP_RE = re.compile(r"^cap=([0-9.eE+-]+)bps$")
 _WEIGHT_RE = re.compile(r"^weight=([0-9.eE+-]+)$")
@@ -80,7 +80,7 @@ def format_topology(topo: Topology) -> str:
         lines.append(f"node {n} {topo.nodes[n]}")
     seen = set()
     for (u, v), e in sorted(topo.edges.items()):
-        key = (u, v) if u < v else (v, u)
+        key = link_key(u, v)
         if key in seen:
             continue
         seen.add(key)

@@ -45,7 +45,8 @@ import numpy as np
 from . import graphops
 from .baseline import spf
 from .model import (Path, Scheme, Topology, TopologyError, TrafficMatrix,
-                    attach_stubs, format_scheme, normalized, path_edges)
+                    attach_stubs, format_scheme, link_key, normalized,
+                    path_edges)
 
 
 class PhaseLimitError(RuntimeError):
@@ -371,6 +372,9 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
             pool.add(j, path, [edge_index[h] for h in path_edges(path)
                                if h in edge_index])
     hops, _, size = pool.flat()
+    if hops.size == 0:  # no commodity crosses a switch link
+        scheme.update((pair, normalized(base[pair])) for pair in pairs)
+        return _solution(topo, scheme, tm, t0, 0, 0.0)
     incidence = np.zeros((len(pool), len(switch_edges)))
     incidence[np.repeat(np.arange(len(pool)), size), hops] = 1.0
     group_size = np.bincount(pool.owner)
@@ -431,7 +435,7 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
     """
     links = topo.links() if failure_set is None else failure_set
     scenarios: list[tuple[tuple[str, str], ...]] = [()]
-    scenarios += [((a, b) if a < b else (b, a),) for (a, b) in links]
+    scenarios += [(link_key(a, b),) for (a, b) in links]
 
     union: dict[tuple[str, str], set[Path]] = {}
     for scenario in scenarios:

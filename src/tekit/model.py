@@ -140,8 +140,7 @@ class Topology:
 
     def links(self) -> list[tuple[str, str]]:
         """Undirected switch-switch links as sorted (a, b) tuples, a < b."""
-        return sorted({(u, v) if u < v else (v, u)
-                       for (u, v) in self.switch_edges})
+        return sorted({link_key(u, v) for (u, v) in self.switch_edges})
 
     def without_links(self, links: Iterable[tuple[str, str]]) -> "Topology":
         """Copy of this topology with the given undirected links removed.
@@ -159,6 +158,11 @@ class Topology:
     def __repr__(self) -> str:
         return (f"Topology({self.name!r}, {len(self.switches)} switches, "
                 f"{len(self.hosts)} hosts, {len(self.links())} links)")
+
+
+def link_key(u: str, v: str) -> tuple[str, str]:
+    """The undirected link between u and v as its sorted (a, b), a < b."""
+    return (u, v) if u < v else (v, u)
 
 
 def both_directions(links: Iterable[tuple[str, str]]

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from . import graphops
-from .model import Path, Scheme, Topology, lift, normalized
+from .model import Path, Scheme, Topology, lift, link_key, normalized
 
 Link = tuple[str, str]  # undirected switch link, endpoints sorted
 Climb = list[tuple[int, Path]]  # see RoutingTree.climb
@@ -213,10 +213,6 @@ def stretch(tree: RoutingTree, topo: Topology,
     return num / den if den else 0.0
 
 
-def _link(u: str, v: str) -> Link:
-    return (u, v) if u < v else (v, u)
-
-
 def _tree_utilization(tree: RoutingTree, topo: Topology,
                       climbs: Mapping[str, Climb]) -> dict[Link, float]:
     """Worst-case utilization bound u(e, T) per undirected link.
@@ -238,7 +234,7 @@ def _tree_utilization(tree: RoutingTree, topo: Topology,
     util: dict[Link, float] = {lk: 0.0 for lk in topo.links()}
     for i, path in enumerate(tree.edge_paths):
         for (a, b) in zip(path, path[1:]):
-            util[_link(a, b)] += boundary_cap[i]
+            util[link_key(a, b)] += boundary_cap[i]
     for (u, v) in util:
         util[(u, v)] /= topo.edges[(u, v)].capacity
     return util

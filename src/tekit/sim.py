@@ -39,9 +39,16 @@ from .model import (AlgorithmKind, Path, Scheme, Topology, TopologyError,
 
 _FAIL = 21  # rng stream tag
 
+#: How a run answers link failures; ``SimConfig.recovery`` is one of these.
+RECOVERY_MODES = ("none", "local", "global")
+#: The run-level metrics of a ``Summary``, in ``comparison.csv`` column order.
+RUN_METRICS = ("throughput_fraction", "congestion_loss_fraction",
+               "failure_loss_fraction", "mean_max_congestion",
+               "peak_congestion", "total_churn", "mean_paths_per_tm")
+
 
 class InfeasibleFailureError(RuntimeError):
-    """No connected failure scenario could be drawn."""
+    """No connected failure scenario of the requested size was found."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class SimConfig(algorithms.BuildConfig):
 
     steps_per_tm: int = 1000
     phi: int = 0
-    recovery: str = "none"  # none | local | global
+    recovery: str = "none"
     flash: FlashConfig | None = None
     flash_lag: int = 8
     flash_recovery_period: int = 200
@@ -67,8 +74,8 @@ class SimConfig(algorithms.BuildConfig):
             raise ValueError("flash lag must be >= 0")
         if self.flash_recovery_period < 1:
             raise ValueError("flash recovery period must be >= 1")
-        if self.recovery not in ("none", "local", "global"):
-            raise ValueError("recovery must be none, local or global")
+        if self.recovery not in RECOVERY_MODES:
+            raise ValueError(f"recovery must be one of {RECOVERY_MODES}")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be >= 1")
 
@@ -146,10 +153,15 @@ def failure_schedule(topo: Topology, phi: int, num_tms: int, seed: int,
     matrix t, so 24 links over 24 matrices fail each link once and 24 links
     over 12 matrices fail alternate links.  phi >= 2: seeded random
     phi-subsets, redrawn until removal keeps the network connected.
+    Raises InfeasibleFailureError when phi exceeds the number of switch
+    links or no connected draw is found.
     """
     links = topo.links()
     if phi == 0:
         return [() for _ in range(num_tms)]
+    if phi > len(links):
+        raise InfeasibleFailureError(
+            f"{topo.name} has {len(links)} switch links, too few to fail {phi}")
     if phi == 1:
         if tm0 is None:
             raise ValueError("phi=1 schedule needs the first traffic matrix")
@@ -451,8 +463,6 @@ def report_to_csv(summary: Summary) -> str:
                     "installed_paths"):
             lines.append(f"{t},{key},{row[key]!r}")
         lines.append(f"{t},failed_links,{row['failed_links'] or '-'}")
-    for key in ("throughput_fraction", "congestion_loss_fraction",
-                "failure_loss_fraction", "mean_max_congestion",
-                "peak_congestion", "total_churn"):
+    for key in RUN_METRICS[:-1]:  # all but mean_paths_per_tm
         lines.append(f"all,{key},{getattr(summary, key)!r}")
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ def test_gen_demands_outputs(demand_files, topo_path):
     assert actual.exists() and predicted.exists() and meta.exists()
     blob = json.loads(meta.read_text())
     assert blob["seed"] == 17
+    assert "flash_beta" not in blob
     assert blob["num_tms"] == 3
     # epsilon=0: predicted byte-identical to actual
     assert actual.read_bytes() == predicted.read_bytes()
@@ -146,6 +147,96 @@ def test_bad_flag_value_exits_2(command, flag, value, topo_path,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+ONE_SWITCH = ("node s1 switch\nnode h1 host\nnode h2 host\n"
+              "link h1 s1 cap=10bps\nlink h2 s1 cap=10bps\n")
+
+
+@pytest.mark.parametrize("topo_name, rates, extra", [
+    ("path8", None, ["--fail-num", "2"]),  # every link is a bridge
+    ("abilene", None, ["--fail-num", "40"]),  # more than its 15 links
+    (None, "0 1 1 0", ["--fail-num", "1"]),  # one switch, no link
+    ("abilene", "0 " * 144, ["--flash-beta", "1"]),  # no traffic to burst
+], ids=["path8-fail2", "abilene-fail40", "one-switch-fail1",
+        "no-traffic-flash"])
+def test_run_infeasible_failures_and_flash_exit_2(topo_name, rates, extra,
+                                                  tmp_path, capsys):
+    if topo_name is None:
+        topo = tmp_path / "one.topo"
+        topo.write_text(ONE_SWITCH)
+    else:
+        topo = fileio.bundled_topology_path(topo_name)
+    tms = tmp_path / "g.actual.tms"
+    if rates is None:
+        assert main(["gen-demands", "--topo", str(topo), "--num-tms", "2",
+                     "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+    else:
+        tms.write_text(rates + "\n")
+    rc = main(["run", "--topo", str(topo), "--tms", str(tms),
+               "--pred", str(tms), "--algos", "spf", "--steps", "2", *extra,
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_every_algorithm_on_one_switch(tmp_path):
+    topo = tmp_path / "one.topo"
+    topo.write_text(ONE_SWITCH)
+    tms = tmp_path / "one.tms"
+    tms.write_text("0 1 2 0\n0 3 1 0\n")
+    rc = main(["run", "--topo", str(topo), "--tms", str(tms), "--pred",
+               str(tms), "--algos", ",".join(ALGORITHM_NAMES), "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    (run_dir,) = (tmp_path / "r").iterdir()
+    rows = (run_dir / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list(ALGORITHM_NAMES)
+    assert all(row.split(",")[1] == "1.0" for row in rows)
+
+
+def test_gen_demands_one_host_exits_2(tmp_path, capsys):
+    topo = tmp_path / "lone.topo"
+    topo.write_text("node s1 switch\nnode h1 host\nlink h1 s1 cap=10bps\n")
+    rc = main(["gen-demands", "--topo", str(topo), "--num-tms", "1",
+               "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_demands_has_no_flash_beta(topo_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-demands", "--topo", topo_path, "--num-tms", "1",
+              "--flash-beta", "5", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert "--flash-beta" in capsys.readouterr().err
+
+
+def test_run_timings(topo_path, demand_files, tmp_path):
+    args = ["run", "--topo", topo_path,
+            "--tms", f"{demand_files}.actual.tms",
+            "--pred", f"{demand_files}.predicted.tms",
+            "--algos", "semimcfraecke", "--steps", "2", "--seed", "4"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--timings", "--out", str(tmp_path / "timed")]) == 0
+    (plain,) = (tmp_path / "plain").iterdir()
+    (timed,) = (tmp_path / "timed").iterdir()
+    for name in ("comparison.csv", "semimcfraecke.csv"):
+        assert (plain / name).read_bytes() == (timed / name).read_bytes()
+    blob = json.loads((timed / "semimcfraecke.summary.json").read_text())
+    times = blob.pop("solver_times")
+    assert [label for label, _ in times] == [
+        "semimcfraecke base", "semimcfraecke reweight tm0",
+        "semimcfraecke reweight tm1", "semimcfraecke reweight tm2"]
+    assert all(seconds >= 0 for _, seconds in times)
+    assert blob.pop("solver_time_total") == sum(s for _, s in times)
+    assert blob == json.loads(
+        (plain / "semimcfraecke.summary.json").read_text())
 
 
 def test_run_missing_topology_exits_2(tmp_path, capsys):
