@@ -8,9 +8,10 @@ every matrix; the omniscient baseline recomputes on the live (possibly
 failure-reduced) topology from the actual demands.  Budgets prune oblivious
 schemes and adaptive bases once, and conscious schemes on every recompute.
 
-Solve wall-clock times and any solver phase-limit events are recorded on the
-driver for reporting; the simulator routes its recovery and flash re-balances
-through the same record.
+Every solve leaves one ``Solve`` record on ``SchemeDriver.solves``: its
+label, wall time and, if the solver stopped at its phase limit, the limit's
+message.  The simulator routes its recovery and flash re-balances through
+the same list, and ``limit_events`` renders the phase-limit reports from it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,25 @@ class BuildConfig:
     budget: int | None = None
     mw: MwConfig = MwConfig()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+@dataclass(frozen=True)
+class Solve:
+    """One solve: its label, wall time in seconds and, if the solver
+    stopped at its phase limit, the PhaseLimitError message."""
+
+    label: str
+    seconds: float
+    limit: str | None = None
+
+
+def limit_events(solves: Sequence[Solve]) -> list[str]:
+    """``label: message`` for every solve that stopped at its phase limit."""
+    return [f"{s.label}: {s.limit}" for s in solves if s.limit is not None]
 
 
 def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
@@ -70,7 +90,7 @@ def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
 
 
 class SchemeDriver:
-    """Per-run algorithm state: installed paths plus the update rule.
+    """Per-run algorithm state: kept paths, update rule and solve records.
 
     ``base`` holds the paths an oblivious or semi-oblivious kind keeps for
     the whole run (None for conscious kinds, which solve per matrix).
@@ -81,10 +101,8 @@ class SchemeDriver:
         self.topo = topo
         self.kind = kind
         self.cfg = cfg
-        self.solve_times: list[tuple[str, float]] = []
-        self.phase_limit_events: list[str] = []
+        self.solves: list[Solve] = []
         self.base: Scheme | None = None
-        self.installed: Scheme = {}
 
         name, tag = kind.name, kind.tag
         label = f"{name} base"
@@ -105,18 +123,18 @@ class SchemeDriver:
         else:  # conscious kinds (mcf, optimalmcf) build per matrix
             return
         self.base = self._budgeted(self.timed(label, builder))
-        self.installed = self.base
 
     def timed(self, label: str, fn):
-        """Run one solve, recording its wall time and, if the solver hit
-        its phase limit, the event; the best-so-far scheme is returned."""
+        """Run one solve and append its ``Solve`` record; a solve stopped
+        at its phase limit returns its best-so-far scheme."""
         t0 = time.perf_counter()
+        limit = None
         try:
             result = fn()
         except PhaseLimitError as exc:
-            self.phase_limit_events.append(f"{label}: {exc}")
+            limit = str(exc)
             result = exc.solution.scheme
-        self.solve_times.append((label, time.perf_counter() - t0))
+        self.solves.append(Solve(label, time.perf_counter() - t0, limit))
         return result
 
     def _budgeted(self, scheme: Scheme) -> Scheme:
@@ -127,12 +145,11 @@ class SchemeDriver:
     def scheme_for(self, t: int, predicted: TrafficMatrix,
                    actual: TrafficMatrix, topo_current: Topology) -> Scheme:
         """The scheme to install for matrix index t, before failure
-        recovery.  Updates ``installed`` for churn accounting."""
+        recovery."""
         kind = self.kind
         if kind.category == "oblivious":
             return self.base
         if kind.category == "semi-oblivious":
-            self.installed = self.base
             return self.timed(f"{kind.name} reweight tm{t}",
                               lambda: reweight(self.topo, self.base,
                                                predicted, self.cfg.mw))
@@ -140,13 +157,11 @@ class SchemeDriver:
             topo, tm = topo_current, actual
         else:  # mcf
             topo, tm = self.topo, predicted
-        self.installed = self.solve_conscious(topo, tm,
-                                              f"{kind.name} solve tm{t}")
-        return self.installed
+        return self.solve_conscious(topo, tm, f"{kind.name} solve tm{t}")
 
     def reweight_source(self, current: Scheme) -> Scheme:
-        """What local recovery should prune: the kept base for oblivious
-        and semi-oblivious kinds, the current scheme otherwise."""
+        """The installed paths (which local recovery prunes): the kept base
+        for oblivious and semi-oblivious kinds, the current scheme otherwise."""
         return self.base if self.base is not None else current
 
     def solve_conscious(self, topo_current: Topology, tm: TrafficMatrix,
@@ -165,14 +180,10 @@ def make_scheme(name: str, topo: Topology, tm: TrafficMatrix | None = None,
     scheme; each such event is emitted as a RuntimeWarning.
     """
     kind = AlgorithmKind.parse(name)
-    tms = [tm] if tm is not None else []
-    driver = SchemeDriver(topo, kind, tms, cfg)
-    if kind.category == "oblivious":
-        scheme = driver.base
-    elif tm is None:
+    if tm is None and kind.category != "oblivious":
         raise ValueError(f"{name} needs a traffic matrix")
-    else:
-        scheme = driver.scheme_for(0, tm, tm, topo)
-    for event in driver.phase_limit_events:
+    driver = SchemeDriver(topo, kind, [tm] if tm is not None else [], cfg)
+    scheme = driver.scheme_for(0, tm, tm, topo)
+    for event in limit_events(driver.solves):
         warnings.warn(f"phase limit: {event}", RuntimeWarning, stacklevel=2)
     return scheme

@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path as FsPath
 
 from . import demand, fileio, sim
+from .algorithms import limit_events
 from .demand import FlashConfig
 from .mcf import MwConfig, PhaseLimitError
 from .model import AlgorithmKind
@@ -88,6 +89,11 @@ _CONFIG_FLAGS = {
 }
 
 
+#: ``gen-demands`` flags by the ``demand.generate_sequences`` argument they
+#: set, which is also their destination on the parsed arguments.
+_GEN_FLAGS = {"seed": "--seed", "epsilon": "--prediction-error"}
+
+
 def _parse_args(argv):
     top = argparse.ArgumentParser(prog="tekit", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -122,7 +128,7 @@ def _parse_args(argv):
     gen.add_argument("--num-tms", type=int, required=True, dest="num_tms")
     gen.add_argument("--scale", type=float, default=None)
     gen.add_argument("--prediction-error", type=float, default=0.0,
-                     dest="prediction_error")
+                     dest="epsilon")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--diurnal", action="store_true")
     gen.add_argument("--out", required=True, help="output file prefix")
@@ -240,6 +246,7 @@ def cmd_run(args) -> int:
     lines = [",".join(("algorithm",) + sim.RUN_METRICS)]
     for name, report in results:
         summary = sim.metrics_rollup(report)
+        events = limit_events(report.solves)
         metrics = {key: getattr(summary, key) for key in sim.RUN_METRICS}
         lines.append(",".join([name] + [repr(v) for v in metrics.values()]))
         (out_dir / f"{name}.csv").write_text(sim.report_to_csv(summary))
@@ -249,18 +256,17 @@ def cmd_run(args) -> int:
             "num_tms": report.num_tms,
             "steps_per_tm": report.steps_per_tm,
             "latency_cdf": list(summary.latency_cdf),
-            "phase_limit_events": report.phase_limit_events,
+            "phase_limit_events": events,
             **metrics,
         }
         if args.timings:
-            blob["solver_time_total"] = summary.solver_time_total
-            blob["solver_times"] = report.solver_times
+            blob["solver_times"] = [(s.label, s.seconds) for s in report.solves]
+            blob["solver_time_total"] = sum(s.seconds for s in report.solves)
         (out_dir / f"{name}.summary.json").write_text(
             json.dumps(blob, indent=2, sort_keys=True) + "\n")
-        if report.phase_limit_events:
+        for ev in events:
             hit_limit = True
-            for ev in report.phase_limit_events:
-                _log.info("note: %s", ev)
+            _log.info("note: %s", ev)
 
     (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
 
@@ -276,13 +282,14 @@ def cmd_gen_demands(args) -> int:
     topo = _load_topology(args.topo)
     if args.num_tms < 1:
         raise InputError("--num-tms must be >= 1")
-    if not (0.0 <= args.prediction_error < 1.0):
-        raise InputError("--prediction-error must lie in [0, 1)")
     _check_scale(args.scale)
     try:
         actual, predicted = demand.generate_sequences(
-            topo, args.num_tms, seed=args.seed, epsilon=args.prediction_error,
+            topo, args.num_tms, seed=args.seed, epsilon=args.epsilon,
             scale=args.scale, diurnal=args.diurnal)
+    except demand.ArgumentError as exc:
+        value = getattr(args, exc.argument)
+        raise InputError(f"{_GEN_FLAGS[exc.argument]} {value}: {exc}") from exc
     except ValueError as exc:  # e.g. a gravity model over one host
         raise InputError(str(exc)) from exc
     prefix = FsPath(args.out)
@@ -295,7 +302,7 @@ def cmd_gen_demands(args) -> int:
         "num_tms": args.num_tms,
         "seed": args.seed,
         "scale": args.scale,
-        "prediction_error": args.prediction_error,
+        "prediction_error": args.epsilon,
         "diurnal": args.diurnal,
         "diurnal_note": "weekly template is a fixed synthetic stand-in",
         "pareto_shape": demand.PARETO_SHAPE,

@@ -46,6 +46,14 @@ class ZeroDemandError(ValueError):
     """The first matrix of a sequence is all-zero and cannot be scaled."""
 
 
+class ArgumentError(ValueError):
+    """A generator argument outside its domain; ``argument`` names it."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 @dataclass(frozen=True)
 class GravityState:
     """Host weights of the gravity model.
@@ -66,6 +74,8 @@ class GravityState:
     @staticmethod
     def initial(hosts: Sequence[str], seed: int = 0) -> "GravityState":
         """Draw initial weights from the stationary Pareto distribution."""
+        if seed < 0:
+            raise ArgumentError("seed", "seed must be >= 0")
         hosts = tuple(sorted(hosts))
         rng = np.random.default_rng([seed, _INIT])
         w = PARETO_SCALE * (1.0 + rng.pareto(PARETO_SHAPE, size=len(hosts)))
@@ -219,7 +229,7 @@ def perturb_for_prediction(state: GravityState, epsilon: float,
     epsilon = 0 returns an identical state.
     """
     if not (0.0 <= epsilon < 1.0):
-        raise ValueError("epsilon must lie in [0, 1)")
+        raise ArgumentError("epsilon", "epsilon must lie in [0, 1)")
     if epsilon == 0.0:
         return state
     rng = np.random.default_rng([seed, _PERTURB, state.step])

@@ -36,7 +36,6 @@ the order they were first chosen before it is normalized.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,8 +44,7 @@ import numpy as np
 from . import graphops
 from .baseline import spf
 from .model import (Path, Scheme, Topology, TopologyError, TrafficMatrix,
-                    attach_stubs, format_scheme, link_key, normalized,
-                    path_edges)
+                    attach_stubs, link_key, normalized, path_edges)
 
 
 class PhaseLimitError(RuntimeError):
@@ -100,14 +98,8 @@ class FlowSolution:
     scheme: Scheme
     max_congestion: float
     per_edge_util: dict[tuple[str, str], float]
-    solve_time: float
     iterations: int = 0
     lower_bound: float = 0.0
-
-    def to_report(self) -> str:
-        return (f"max_congestion {self.max_congestion!r}\n"
-                f"solve_time {self.solve_time:.6f}\n"
-                + format_scheme(self.scheme))
 
 
 def evaluate_scheme(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
@@ -128,10 +120,10 @@ def evaluate_scheme(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
     return max_c, util
 
 
-def _solution(topo, scheme, tm, t0, iterations, lower_bound) -> FlowSolution:
+def _solution(topo, scheme, tm, iterations=0, lower_bound=0.0
+              ) -> FlowSolution:
     max_c, util = evaluate_scheme(topo, scheme, tm)
-    return FlowSolution(scheme, max_c, util, time.perf_counter() - t0,
-                        iterations, lower_bound)
+    return FlowSolution(scheme, max_c, util, iterations, lower_bound)
 
 
 #: Multiplicative-weights learning rate.  Decoupled from the certified
@@ -243,11 +235,11 @@ def _distributions(pool: _PathPool, counts: np.ndarray, first: np.ndarray,
     return [normalized(dist) for dist in dists]
 
 
-def _certified(topo, scheme, tm, t0, iterations, lower_bound, converged,
+def _certified(topo, scheme, tm, iterations, lower_bound, converged,
                cfg: MwConfig) -> FlowSolution:
     """The solution, or PhaseLimitError carrying it if the loop stopped
     before certifying the gap."""
-    sol = _solution(topo, scheme, tm, t0, iterations, lower_bound)
+    sol = _solution(topo, scheme, tm, iterations, lower_bound)
     if not converged:
         raise PhaseLimitError(
             f"no certificate after {cfg.max_phases} phases "
@@ -270,7 +262,6 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
     Raises PhaseLimitError (solution attached) if the certificate is not
     reached within max_phases.
     """
-    t0 = time.perf_counter()
     spf_scheme = spf(topo)
     scheme: Scheme = {}
     demands: dict[tuple[str, str], float] = {}
@@ -288,7 +279,7 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
                 demands[(s_sw, d_sw)] = demands.get((s_sw, d_sw), 0.0) + d
 
     if not demands:
-        return _solution(topo, scheme, tm, t0, 0, 0.0)
+        return _solution(topo, scheme, tm)
 
     d_ref = sum(demands.values())
     keys = sorted(demands)
@@ -327,7 +318,7 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
     for pair, sw_key in pair_sw.items():
         scheme[pair] = normalized({attach_stubs(*pair, p): v
                                    for p, v in dists[commodity[sw_key]].items()})
-    return _certified(topo, scheme, tm, t0, iters,
+    return _certified(topo, scheme, tm, iters,
                       lb * d_ref / float(cap.max()), converged, cfg)
 
 
@@ -339,7 +330,6 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     base paths, so the output's path set per pair is a subset of the base.
     Pairs with zero demand keep their base distribution unchanged.
     """
-    t0 = time.perf_counter()
     scheme: Scheme = {}
     missing = []
     d_ref = 0.0
@@ -357,7 +347,7 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     if missing:
         raise MissingPathsError(missing)
     if d_ref == 0:
-        return _solution(topo, scheme, tm, t0, 0, 0.0)
+        return _solution(topo, scheme, tm)
 
     # Strip host stubs for length computation: stubs are shared by all of a
     # pair's paths, so they never affect the choice.  Path lengths for every
@@ -374,7 +364,7 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     hops, _, size = pool.flat()
     if hops.size == 0:  # no commodity crosses a switch link
         scheme.update((pair, normalized(base[pair])) for pair in pairs)
-        return _solution(topo, scheme, tm, t0, 0, 0.0)
+        return _solution(topo, scheme, tm)
     incidence = np.zeros((len(pool), len(switch_edges)))
     incidence[np.repeat(np.arange(len(pool)), size), hops] = 1.0
     group_size = np.bincount(pool.owner)
@@ -395,7 +385,7 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
 
     scheme.update(zip(pairs, _distributions(pool, counts, first, denom,
                                             len(pairs))))
-    return _certified(topo, scheme, tm, t0, iters,
+    return _certified(topo, scheme, tm, iters,
                       lb * d_ref / float(cap.max()), converged, cfg)
 
 
@@ -432,12 +422,17 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
     By default every switch link is a scenario except the bridges, whose
     failure disconnects the network and so leaves no routing to union.  A
     bridge in an explicit ``failure_set`` raises DisconnectedScenarioError.
+    A scenario that stops at its phase limit adds its best-so-far paths;
+    if any stopped, one PhaseLimitError carries the whole union, evaluated
+    on the intact topology under the window's envelope.
     """
     links = topo.links() if failure_set is None else failure_set
     scenarios: list[tuple[tuple[str, str], ...]] = [()]
     scenarios += [(link_key(a, b),) for (a, b) in links]
 
     union: dict[tuple[str, str], set[Path]] = {}
+    solved = 0
+    stopped: list[PhaseLimitError] = []
     for scenario in scenarios:
         try:
             reduced = topo.without_links(scenario)
@@ -445,7 +440,12 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
             if failure_set is None:
                 continue
             raise DisconnectedScenarioError(scenario[0]) from None
-        part = semi_mcf_env(reduced, window, cfg)
+        solved += 1
+        try:
+            part = semi_mcf_env(reduced, window, cfg)
+        except PhaseLimitError as exc:
+            stopped.append(exc)
+            part = exc.solution.scheme
         for pair, dist in part.items():
             union.setdefault(pair, set()).update(dist)
 
@@ -453,5 +453,10 @@ def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
     for pair, paths in union.items():
         share = 1.0 / len(paths)
         scheme[pair] = {p: share for p in sorted(paths)}
+    if stopped:
+        raise PhaseLimitError(
+            f"{len(stopped)} of {solved} scenarios stopped, the first: "
+            f"{stopped[0]}",
+            _solution(topo, scheme, demand_envelope(window)))
     return scheme
 

@@ -17,14 +17,14 @@ never an error: ``demand_total`` is defined as delivered + congestion loss
 + failure loss, so conservation holds bit-exactly at every step.
 
 Latency is propagation-only (sum of latency weights along the path),
-recorded as a delivered-bits histogram.  Solver wall-clock times are kept
-out of the canonical serialization so identical seeded runs are
-byte-identical.
+recorded as a delivered-bits histogram.  The report carries the driver's
+solve records (``SimReport.solves``); their wall-clock times are kept out
+of the canonical serialization so identical seeded runs are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,6 +66,7 @@ class SimConfig(algorithms.BuildConfig):
     explicit_failures: tuple | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.phi < 0:
             raise ValueError("phi must be >= 0")
         if self.steps_per_tm < 1:
@@ -100,8 +101,7 @@ class SimReport:
     failures: list[tuple[tuple[str, str], ...]]
     churn_timeline: list[int]               # installed-path churn per TM
     installed_paths: list[int]              # installed path count per TM
-    solver_times: list[tuple[str, float]] = field(default_factory=list)
-    phase_limit_events: list[str] = field(default_factory=list)
+    solves: list[algorithms.Solve] = field(default_factory=list)
 
     def serialize(self) -> str:
         """Canonical text form, excluding wall-clock timings."""
@@ -213,16 +213,16 @@ def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
 
 def recover_global(kind: AlgorithmKind, topo_minus_failed: Topology,
                    predicted_tm: TrafficMatrix, cfg: SimConfig,
-                   phase_limit_events: list[str] | None = None) -> Scheme:
+                   solves: list[algorithms.Solve] | None = None) -> Scheme:
     """Recompute the whole algorithm on the reduced topology.  The
-    recomputation's phase-limit events are appended to
-    ``phase_limit_events`` when it is given."""
+    recomputation's solve records are appended to ``solves``, when it is
+    given, labelled ``global recovery: <label>``."""
     driver = algorithms.SchemeDriver(topo_minus_failed, kind, [predicted_tm],
                                      cfg)
     scheme = driver.scheme_for(0, predicted_tm, predicted_tm, topo_minus_failed)
-    if phase_limit_events is not None:
-        phase_limit_events.extend(f"global recovery: {ev}"
-                                  for ev in driver.phase_limit_events)
+    if solves is not None:
+        solves.extend(replace(s, label=f"global recovery: {s.label}")
+                      for s in driver.solves)
     return scheme
 
 
@@ -323,21 +323,20 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                 topo_t = None  # disconnected; global recovery degrades to local
 
         scheme = driver.scheme_for(t, ptm, atm, topo_t or topo)
-        installed = driver.installed
+        installed = driver.reweight_source(scheme)
         churn_tl.append(0 if prev_installed is None
                         else churn(prev_installed, installed))
         paths_tl.append(sum(len(d) for d in installed.values()))
         prev_installed = installed
 
         if failed and kind.tag != "optimalmcf" and cfg.recovery != "none":
-            label = f"{kind.name} {cfg.recovery} recovery tm{t}"
             if cfg.recovery == "global" and topo_t is not None:
-                scheme = driver.timed(label, lambda: recover_global(
-                    kind, topo_t, ptm, cfg, driver.phase_limit_events))
+                scheme = recover_global(kind, topo_t, ptm, cfg, driver.solves)
             else:
-                base = driver.reweight_source(scheme)
-                scheme = driver.timed(label, lambda: recover_local(
-                    base, failed, kind, topo, ptm, cfg.mw))
+                scheme = driver.timed(
+                    f"{kind.name} {cfg.recovery} recovery tm{t}",
+                    lambda: recover_local(installed, failed, kind, topo, ptm,
+                                          cfg.mw))
 
         if not flash_on:
             metrics = _propagate(topo, scheme, atm, dead)
@@ -367,8 +366,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
         steps_out.append(tm_steps)
 
     return SimReport(kind.name, topo.name, num_tms, cfg.steps_per_tm,
-                     steps_out, failures, churn_tl, paths_tl,
-                     driver.solve_times, driver.phase_limit_events)
+                     steps_out, failures, churn_tl, paths_tl, driver.solves)
 
 
 @dataclass
@@ -383,7 +381,6 @@ class Summary:
     latency_cdf: tuple[tuple[float, float], ...]
     total_churn: int
     mean_paths_per_tm: float
-    solver_time_total: float
     per_tm: list[dict]
 
     def latency_percentile(self, q: float) -> float:
@@ -396,7 +393,7 @@ class Summary:
 
 def metrics_rollup(report: SimReport) -> Summary:
     """Aggregate a run: fractions of demand delivered/lost, congestion
-    statistics, the delivered-bits latency CDF, churn and solver totals.
+    statistics, the delivered-bits latency CDF and churn.
     A run with zero demand counts as throughput fraction 1."""
     delivered = closs = floss = demand = 0.0
     max_cong_per_tm = []
@@ -448,7 +445,6 @@ def metrics_rollup(report: SimReport) -> Summary:
         total_churn=sum(report.churn_timeline),
         mean_paths_per_tm=(sum(report.installed_paths) / len(report.installed_paths)
                            if report.installed_paths else 0.0),
-        solver_time_total=sum(s for _, s in report.solver_times),
         per_tm=per_tm,
     )
 

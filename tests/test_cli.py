@@ -130,6 +130,10 @@ BAD_FLAGS = [
     ("run", "--budget", "0"), ("run", "--accuracy", "0"),
     ("run", "--max-phases", "0"), ("run", "--fail-num", "-1"),
     ("run", "--flash-lag", "-1"), ("run", "--steps", "-1"),
+    ("run", "--seed", "-1"), ("gen-demands", "--seed", "-1"),
+    ("gen-demands", "--prediction-error", "1"),
+    ("gen-demands", "--prediction-error", "-0.1"),
+    ("gen-demands", "--prediction-error", "nan"),
 ]
 
 
@@ -237,6 +241,27 @@ def test_run_timings(topo_path, demand_files, tmp_path):
     assert blob.pop("solver_time_total") == sum(s for _, s in times)
     assert blob == json.loads(
         (plain / "semimcfraecke.summary.json").read_text())
+
+
+def test_run_timings_list_global_recovery_solves(topo_path, demand_files,
+                                                tmp_path):
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", "semimcfraecke", "--steps", "2", "--seed", "4",
+               "--fail-num", "2", "--recovery", "global", "--timings",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    (summary,) = (tmp_path / "r").glob("*/semimcfraecke.summary.json")
+    blob = json.loads(summary.read_text())
+    times = blob["solver_times"]
+    expected = ["semimcfraecke base"]
+    for t in range(3):
+        expected += [f"semimcfraecke reweight tm{t}",
+                     "global recovery: semimcfraecke base",
+                     "global recovery: semimcfraecke reweight tm0"]
+    assert [label for label, _ in times] == expected
+    assert blob["solver_time_total"] == sum(s for _, s in times)
 
 
 def test_run_missing_topology_exits_2(tmp_path, capsys):
@@ -465,3 +490,33 @@ def test_verbose_notes_the_demand_scaling_phase_limit(topo_path, demand_files,
     assert any(ln.startswith("note: demand scaling: no certificate after 2 "
                              "phases") for ln in err)
     assert err[-1] == "error: solver phase limit reached (--strict)"
+
+
+#: Runs whose every re-solve stops at ``--max-phases 2``; the complete
+#: phase-limit event lists they produce are pinned in
+#: ``data/phase_limit_events.json``.
+PINNED_EVENT_RUNS = {
+    "local-flash": ["--fail-num", "1", "--recovery", "local",
+                    "--max-phases", "2", "--flash-beta", "3",
+                    "--flash-recovery-period", "1", "--flash-lag", "0"],
+    "global": ["--fail-num", "2", "--recovery", "global",
+               "--max-phases", "2"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_EVENT_RUNS))
+def test_phase_limit_events_pinned(run, topo_path, tmp_path):
+    gen = tmp_path / "g"
+    assert main(["gen-demands", "--topo", topo_path, "--num-tms", "3",
+                 "--prediction-error", "0.2", "--seed", "5",
+                 "--out", str(gen)]) == 0
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "phase_limit_events.json").read_text())[run]
+    assert main(["run", "--topo", topo_path, "--tms", f"{gen}.actual.tms",
+                 "--pred", f"{gen}.predicted.tms",
+                 "--algos", ",".join(sorted(pinned)), "--steps", "3",
+                 "--seed", "5", *PINNED_EVENT_RUNS[run],
+                 "--out", str(tmp_path / "r")]) == 0
+    for name, events in pinned.items():
+        (summary,) = (tmp_path / "r").glob(f"*/{name}.summary.json")
+        assert json.loads(summary.read_text())["phase_limit_events"] == events

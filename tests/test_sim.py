@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import tekit
 from tekit import (AlgorithmKind, SimConfig, failure_schedule, max_min_allocate,
                    metrics_rollup, recover_global, recover_local, simulate)
+from tekit.algorithms import limit_events
 from tekit.demand import FlashConfig, GravityState, gravity_tm, mh_step
 from tekit.mcf import MwConfig
 from tekit.sim import InfeasibleFailureError, report_to_csv
@@ -349,17 +350,17 @@ def test_recovery_and_flash_phase_limits_are_reported(abilene):
     failed = SimConfig(steps_per_tm=2, recovery="local", mw=strict,
                        explicit_failures=[(("s2", "s12"),)])
     rep = simulate(abilene, "semimcfraecke", [tm], [tm], failed)
-    assert any("local recovery tm0" in ev for ev in rep.phase_limit_events)
+    assert any("local recovery tm0" in ev for ev in limit_events(rep.solves))
     rep = simulate(abilene, "mcf", [tm], [tm],
                    replace(failed, recovery="global"))
     assert any(ev.startswith("global recovery: ")
-               for ev in rep.phase_limit_events)
+               for ev in limit_events(rep.solves))
     flash = SimConfig(steps_per_tm=3, recovery="local", mw=strict,
                       flash=FlashConfig(beta=4.0, sink_seed=3),
                       flash_recovery_period=1, flash_lag=0)
     rep = simulate(abilene, "semimcfraecke", [tm], [tm], flash)
     assert any("flash reweight tm0 step1" in ev
-               for ev in rep.phase_limit_events)
+               for ev in limit_events(rep.solves))
 
 
 def test_reweight_phase_limit_carries_stranded_pairs(abilene):
