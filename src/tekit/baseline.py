@@ -48,8 +48,13 @@ def ecmp(topo: Topology) -> Scheme:
     """Every minimum-cost simple path per pair, uniform probabilities."""
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    return lift(topo, lambda s, d: _uniform(
-        graphops.min_cost_paths(adj, lengths, s, d)))
+    radj, rlengths = graphops.reversed_graph(adj, lengths)
+    dist_from = {s: graphops.dijkstra(adj, lengths, s)[0]
+                 for s in topo.switches}
+    dist_to = {d: graphops.dijkstra(radj, rlengths, d)[0]
+               for d in topo.switches}
+    return lift(topo, lambda s, d: _uniform(graphops.min_cost_paths(
+        adj, lengths, s, d, dist_from[s], dist_to[d])))
 
 
 def ksp(topo: Topology, cfg: KspConfig = KspConfig()) -> Scheme:

@@ -98,6 +98,8 @@ def _parse_args(argv):
     top = argparse.ArgumentParser(prog="tekit", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
+    scale_help = ("rescale demands so the first matrix's optimal congestion "
+                  f"is {demand.CONGESTION_PER_SCALE}*S")
 
     run = sub.add_parser("run", help="simulate algorithms over a demand sequence")
     run.add_argument("--topo", required=True)
@@ -105,9 +107,7 @@ def _parse_args(argv):
     run.add_argument("--pred", required=True, help="predicted traffic matrix file")
     run.add_argument("--algos", required=True,
                      help="comma-separated algorithm names")
-    run.add_argument("--scale", type=float, default=None,
-                     help="rescale demands so the first matrix's optimal "
-                          "congestion is 0.4*S")
+    run.add_argument("--scale", type=float, default=None, help=scale_help)
     run.add_argument("--recovery", choices=sim.RECOVERY_MODES,
                      default=SimConfig.recovery)
     for flag, (config, field, kind) in _CONFIG_FLAGS.items():
@@ -126,7 +126,7 @@ def _parse_args(argv):
     gen = sub.add_parser("gen-demands", help="generate demand sequences")
     gen.add_argument("--topo", required=True)
     gen.add_argument("--num-tms", type=int, required=True, dest="num_tms")
-    gen.add_argument("--scale", type=float, default=None)
+    gen.add_argument("--scale", type=float, default=None, help=scale_help)
     gen.add_argument("--prediction-error", type=float, default=0.0,
                      dest="epsilon")
     gen.add_argument("--seed", type=int, default=0)
@@ -223,7 +223,8 @@ def cmd_run(args) -> int:
         except PhaseLimitError as exc:
             hit_limit = True
             _log.info("note: demand scaling: %s", exc)
-            factor = 0.4 * args.scale / exc.solution.max_congestion
+            factor = (demand.CONGESTION_PER_SCALE * args.scale
+                      / exc.solution.max_congestion)
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]
 

@@ -36,6 +36,8 @@ PARETO_SHAPE = 1.5
 PARETO_SCALE = 1.0
 #: simulator steps after which a flash burst has decayed to half its peak
 FLASH_HALF_LIFE_STEPS = 30
+#: optimal congestion of the first matrix per unit of demand scale S
+CONGESTION_PER_SCALE = 0.4
 
 
 class NoEligibleSinkError(RuntimeError):
@@ -240,15 +242,16 @@ def perturb_for_prediction(state: GravityState, epsilon: float,
 
 def scale_factor(topo: Topology, first: TrafficMatrix, scale: float,
                  cfg: MwConfig = MwConfig()) -> float:
-    """Scalar making the first matrix's optimal congestion equal 0.4*S.
+    """Scalar making the first matrix's optimal congestion equal
+    ``CONGESTION_PER_SCALE`` * S.
 
     Relies on the solver's exact homogeneity in demand: the scalar is
-    0.4*S / max_congestion(first).
+    ``CONGESTION_PER_SCALE`` * S / max_congestion(first).
     """
     if first.total() == 0:
         raise ZeroDemandError("first traffic matrix is all-zero")
     base = mcf_mw(topo, first, cfg).max_congestion
-    return 0.4 * scale / base
+    return CONGESTION_PER_SCALE * scale / base
 
 
 def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
@@ -261,7 +264,7 @@ def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
     predicted sequence applies the epsilon weight perturbation to each
     step's state before evaluating the gravity model.  With ``scale`` set,
     both sequences are jointly rescaled so the first actual matrix's optimal
-    congestion equals 0.4 * scale.
+    congestion equals ``CONGESTION_PER_SCALE`` * scale.
     """
     state = GravityState.initial(topo.hosts, seed)
     actual: list[TrafficMatrix] = []

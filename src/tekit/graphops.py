@@ -5,6 +5,12 @@ under arbitrary per-edge length functions (the tree-distribution construction
 and the congestion solver both reroute under evolving lengths).  Ties are
 always broken by (cost, hop count, node sequence) so identical inputs yield
 identical paths on any platform.
+
+No search copies the graph.  ``shortest_path`` stops at the target's first
+pop and takes sets of banned nodes and edges, which it skips while it
+expands; Yen's ``k_shortest_paths`` passes its spur restrictions that way.
+``min_cost_paths`` takes the source's and target's distance maps, so a
+caller routing every pair runs two Dijkstras per node, not two per pair.
 """
 
 from __future__ import annotations
@@ -60,27 +66,60 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths,
     return dist, best
 
 
-def shortest_path(adj, lengths: Lengths, source: str, target: str) -> Path:
-    dist, best = dijkstra(adj, lengths, source)
-    if target not in best:
-        raise UnreachablePair(f"no route {source} -> {target}")
-    return best[target]
+def shortest_path(adj, lengths: Lengths, source: str, target: str,
+                  banned_nodes: Iterable[str] = (),
+                  banned_edges: Iterable[tuple[str, str]] = ()) -> Path:
+    """The path ``dijkstra`` would pick from source to target, avoiding the
+    banned nodes and directed edges.
 
-
-def min_cost_paths(adj, lengths: Lengths, source: str, target: str) -> list[Path]:
-    """All simple paths from source to target achieving the minimum cost.
-
-    Works by depth-first search constrained to moves that keep the optimal
-    completion cost reachable; a visited set keeps paths simple even in the
-    presence of zero-length edges.
+    The search never expands into a banned node or along a banned edge, and
+    it stops at the target's first pop: that entry is the minimum
+    (cost, hops, sequence) one, the same a full search settles.
     """
-    dist_from = dijkstra(adj, lengths, source)[0]
+    done = set(banned_nodes)
+    cut: dict[str, set[str]] = {}
+    for u, v in banned_edges:
+        cut.setdefault(u, set()).add(v)
+    heap: list[tuple[float, int, Path]] = [(0.0, 1, (source,))]
+    while heap:
+        d, nhops, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == target:
+            return path
+        if node in done:
+            continue
+        done.add(node)
+        skip = cut.get(node, ())
+        for nbr in adj[node]:
+            if nbr not in done and nbr not in skip:
+                heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
+                                      path + (nbr,)))
+    raise UnreachablePair(f"no route {source} -> {target}")
+
+
+def reversed_graph(adj: Mapping[str, Iterable[str]], lengths: Lengths
+                   ) -> tuple[dict[str, list[str]], Lengths]:
+    """Adjacency and lengths with every edge turned around: a Dijkstra from
+    t over them gives every node's distance to t."""
     radj: dict[str, list[str]] = {n: [] for n in adj}
     for u, vs in adj.items():
         for v in vs:
             radj[v].append(u)
-    rlengths = {(v, u): w for (u, v), w in lengths.items()}
-    dist_to = dijkstra(radj, rlengths, target)[0]
+    return radj, {(v, u): w for (u, v), w in lengths.items()}
+
+
+def min_cost_paths(adj, lengths: Lengths, source: str, target: str,
+                   dist_from: Mapping[str, float],
+                   dist_to: Mapping[str, float]) -> list[Path]:
+    """All simple paths from source to target achieving the minimum cost.
+
+    ``dist_from`` holds the distances from ``source`` (``dijkstra`` from
+    it) and ``dist_to`` the distances to ``target`` (``dijkstra`` from it
+    over ``reversed_graph``), so a caller routing many pairs searches once
+    per node and direction.  Works by depth-first search constrained to
+    moves that keep the optimal completion cost reachable; a visited set
+    keeps paths simple even in the presence of zero-length edges.
+    """
     if target not in dist_from:
         raise UnreachablePair(f"no route {source} -> {target}")
     total = dist_from[target]
@@ -126,18 +165,11 @@ def k_shortest_paths(adj, lengths: Lengths, source: str, target: str,
         for i in range(len(prev) - 1):
             spur = prev[i]
             root = prev[:i + 1]
-            banned_edges = set()
-            for (_, _, p) in found:
-                if p[:i + 1] == root and len(p) > i + 1:
-                    banned_edges.add((p[i], p[i + 1]))
-            banned_nodes = set(root[:-1])
-            sub_adj = {
-                u: tuple(v for v in vs
-                         if v not in banned_nodes and (u, v) not in banned_edges)
-                for u, vs in adj.items() if u not in banned_nodes
-            }
+            banned_edges = {(p[i], p[i + 1]) for (_, _, p) in found
+                            if p[:i + 1] == root and len(p) > i + 1}
             try:
-                spur_path = shortest_path(sub_adj, lengths, spur, target)
+                spur_path = shortest_path(adj, lengths, spur, target,
+                                          root[:-1], banned_edges)
             except UnreachablePair:
                 continue
             candidate = root[:-1] + spur_path
@@ -156,21 +188,21 @@ def path_cost(lengths: Lengths, path: Path) -> float:
 
 
 def shortcut(path: Path) -> Path:
-    """Remove loops from a walk: keep the first occurrence of each repeated
-    node and splice directly to its last occurrence.  Never lengthens the
+    """Remove loops from a walk in one pass: whenever a node repeats, cut
+    the walk back to that node's earlier occurrence.  Never lengthens the
     walk or adds edges that were not already present."""
-    while True:
-        seen: dict[str, int] = {}
-        cut = None
-        for i, node in enumerate(path):
-            if node in seen:
-                cut = (seen[node], i)
-                break
-            seen[node] = i
-        if cut is None:
-            return path
-        i, j = cut
-        path = path[:i] + path[j:]
+    out: list[str] = []
+    at: dict[str, int] = {}
+    for node in path:
+        i = at.get(node)
+        if i is None:
+            at[node] = len(out)
+            out.append(node)
+        else:
+            for dropped in out[i + 1:]:
+                del at[dropped]
+            del out[i + 1:]
+    return tuple(out)
 
 
 def concatenate(first: Path, second: Path) -> Path:

@@ -211,15 +211,17 @@ def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
     return {pair: normalized(dist) for pair, dist in survived.items()}
 
 
-def recover_global(kind: AlgorithmKind, topo_minus_failed: Topology,
+def recover_global(t: int, kind: AlgorithmKind, topo_minus_failed: Topology,
                    predicted_tm: TrafficMatrix, cfg: SimConfig,
                    solves: list[algorithms.Solve] | None = None) -> Scheme:
-    """Recompute the whole algorithm on the reduced topology.  The
-    recomputation's solve records are appended to ``solves``, when it is
-    given, labelled ``global recovery: <label>``."""
+    """Recompute the whole algorithm on the reduced topology for matrix
+    index ``t``.  The recomputation's solve records are appended to
+    ``solves``, when it is given, labelled ``global recovery: <label>``;
+    a per-matrix label names ``tm<t>``."""
     driver = algorithms.SchemeDriver(topo_minus_failed, kind, [predicted_tm],
                                      cfg)
-    scheme = driver.scheme_for(0, predicted_tm, predicted_tm, topo_minus_failed)
+    scheme = driver.scheme_for(t, predicted_tm, predicted_tm,
+                               topo_minus_failed)
     if solves is not None:
         solves.extend(replace(s, label=f"global recovery: {s.label}")
                       for s in driver.solves)
@@ -331,7 +333,8 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
 
         if failed and kind.tag != "optimalmcf" and cfg.recovery != "none":
             if cfg.recovery == "global" and topo_t is not None:
-                scheme = recover_global(kind, topo_t, ptm, cfg, driver.solves)
+                scheme = recover_global(t, kind, topo_t, ptm, cfg,
+                                        driver.solves)
             else:
                 scheme = driver.timed(
                     f"{kind.name} {cfg.recovery} recovery tm{t}",

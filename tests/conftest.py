@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tekit import Edge, Topology, TrafficMatrix, load_bundled_topology
 
@@ -59,6 +60,11 @@ def ring24():
     links = [(f"r{i:02d}", f"r{(i + 1) % 24:02d}") for i in range(24)]
     links = [tuple(sorted(l)) for l in links]
     return build_topology("ring24", links, hosts_on=["r00", "r12"])
+
+
+#: few distinct dyadic path lengths: many exact ties, and sums that do not
+#: round, so a search and a brute-force enumeration rank paths alike
+TIED_LENGTHS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
 
 
 def random_topology(seed, n_switches=6, extra_links=3, cap_range=(5.0, 50.0)):

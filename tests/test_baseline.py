@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tekit import KspConfig, ecmp, graphops, ksp, spf, validate_scheme, vlb
+from tekit import (Edge, KspConfig, Topology, ecmp, graphops, ksp, spf,
+                   validate_scheme, vlb)
 
-from conftest import build_topology, random_topology
+from conftest import TIED_LENGTHS, build_topology, random_topology
 from helpers import brute_k_shortest, brute_min_cost_set, path_cost
 
 
@@ -62,6 +65,56 @@ def test_ecmp_matches_enumeration_oracle(seed):
         got = sorted(p[1:-1] for p in dist)
         assert got == sorted(expected)
         assert all(v == pytest.approx(1.0 / len(expected)) for v in dist.values())
+
+
+@st.composite
+def _asymmetric_topologies(draw):
+    """Connected switch graphs whose two directions of a link draw their
+    latency weights apart, from few values, so ties abound; one host per
+    switch."""
+    n = draw(st.integers(2, 6))
+    switches = [f"s{i}" for i in range(n)]
+    links = {(switches[draw(st.integers(0, i - 1))], switches[i])
+             for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.lists(st.sampled_from(switches), min_size=2,
+                             max_size=2, unique=True))
+        if (b, a) not in links:
+            links.add((a, b))
+    nodes = {sw: "switch" for sw in switches}
+    edges = []
+    for a, b in sorted(links):
+        edges += [Edge(a, b, 10.0, draw(TIED_LENGTHS)),
+                  Edge(b, a, 10.0, draw(TIED_LENGTHS))]
+    for sw in switches:
+        nodes[f"h_{sw}"] = "host"
+        edges += [Edge(f"h_{sw}", sw, 1e9, 0.0), Edge(sw, f"h_{sw}", 1e9, 0.0)]
+    return Topology("asym", nodes, edges)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(topo=_asymmetric_topologies())
+def test_ecmp_matches_enumeration_property(topo):
+    scheme = ecmp(topo)
+    adj = graphops.switch_graph(topo)
+    lengths = graphops.weight_lengths(topo)
+    for (s, d), dist in scheme.items():
+        s_sw, d_sw = topo.host_switch(s), topo.host_switch(d)
+        expected = brute_min_cost_set(adj, lengths, s_sw, d_sw)
+        assert [p[1:-1] for p in dist] == expected
+        assert all(v == 1.0 / len(expected) for v in dist.values())
+
+
+def test_ecmp_searches_once_per_switch_and_direction(monkeypatch):
+    topo = random_topology(12, n_switches=12, extra_links=6)
+    sources = []
+    search = graphops.dijkstra
+    monkeypatch.setattr(graphops, "dijkstra",
+                        lambda adj, lengths, s: sources.append(s)
+                        or search(adj, lengths, s))
+    ecmp(topo)
+    assert len(topo.switches) == 12
+    assert 0 < len(sources) <= 2 * 12
 
 
 def test_ksp_diamond_two_paths(diamond):

@@ -259,7 +259,7 @@ def test_run_timings_list_global_recovery_solves(topo_path, demand_files,
     for t in range(3):
         expected += [f"semimcfraecke reweight tm{t}",
                      "global recovery: semimcfraecke base",
-                     "global recovery: semimcfraecke reweight tm0"]
+                     f"global recovery: semimcfraecke reweight tm{t}"]
     assert [label for label, _ in times] == expected
     assert blob["solver_time_total"] == sum(s for _, s in times)
 

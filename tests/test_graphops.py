@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tekit import graphops
+from tekit import UnreachablePair, graphops
 
-from conftest import random_topology
+from conftest import TIED_LENGTHS, random_topology
 from helpers import brute_k_shortest, brute_min_cost_set, brute_shortest
 
 
@@ -35,7 +39,10 @@ def test_min_cost_paths_matches_enumeration(seed):
     for _ in range(5):
         s, t = rng.choice(len(switches), size=2, replace=False)
         s, t = switches[s], switches[t]
-        assert (graphops.min_cost_paths(adj, lengths, s, t)
+        radj, rlengths = graphops.reversed_graph(adj, lengths)
+        dist_from = graphops.dijkstra(adj, lengths, s)[0]
+        dist_to = graphops.dijkstra(radj, rlengths, t)[0]
+        assert (graphops.min_cost_paths(adj, lengths, s, t, dist_from, dist_to)
                 == brute_min_cost_set(adj, lengths, s, t))
 
 
@@ -50,6 +57,48 @@ def test_yen_matches_brute_force_top_k(seed):
         s, t = switches[s], switches[t]
         got = graphops.k_shortest_paths(adj, lengths, s, t, 4)
         assert got == brute_k_shortest(adj, lengths, s, t, 4)
+
+
+@st.composite
+def _directed_graphs(draw):
+    """Small directed graphs: arcs in drawn order (so the adjacency order
+    varies), each with its own length, reverse arcs drawn independently."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    arcs = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                   st.sampled_from(nodes))
+                         .filter(lambda a: a[0] != a[1]), unique=True))
+    adj = {u: tuple(v for (w, v) in arcs if w == u) for u in nodes}
+    return adj, {a: draw(TIED_LENGTHS) for a in arcs}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph=_directed_graphs(), k=st.integers(1, 6))
+def test_yen_matches_brute_force_property(graph, k):
+    adj, lengths = graph
+    for s, t in itertools.permutations(adj, 2):
+        expected = brute_k_shortest(adj, lengths, s, t, k)
+        if not expected:
+            with pytest.raises(UnreachablePair):
+                graphops.k_shortest_paths(adj, lengths, s, t, k)
+        else:
+            assert graphops.k_shortest_paths(adj, lengths, s, t, k) == expected
+
+
+def test_unreachable_pair_raises():
+    adj = {"a": ("b",), "b": (), "c": ("b",)}
+    lengths = {("a", "b"): 1.0, ("c", "b"): 1.0}
+    radj, rlengths = graphops.reversed_graph(adj, lengths)
+    with pytest.raises(UnreachablePair):
+        graphops.shortest_path(adj, lengths, "b", "a")
+    with pytest.raises(UnreachablePair):
+        graphops.shortest_path(adj, lengths, "a", "b",
+                               banned_edges={("a", "b")})
+    with pytest.raises(UnreachablePair):
+        graphops.k_shortest_paths(adj, lengths, "a", "c", 3)
+    with pytest.raises(UnreachablePair):
+        graphops.min_cost_paths(adj, lengths, "a", "c",
+                                graphops.dijkstra(adj, lengths, "a")[0],
+                                graphops.dijkstra(radj, rlengths, "c")[0])
 
 
 def test_yen_handles_fewer_paths_than_k(line4):

@@ -177,13 +177,14 @@ def test_recover_global_spf_takes_detour():
     original = tekit.spf(topo)
     assert original[("h_a", "h_c")] == {("h_a", "a", "b", "c", "h_c"): 1.0}
     reduced = topo.without_links([("a", "b")])
-    out = recover_global(AlgorithmKind.parse("spf"), reduced, tm, SimConfig())
+    out = recover_global(0, AlgorithmKind.parse("spf"), reduced, tm,
+                         SimConfig())
     assert out[("h_a", "h_c")] == {("h_a", "a", "d", "c", "h_c"): 1.0}
 
 
 def test_recover_global_without_failures_is_identity(abilene):
     tm = tm_of(abilene, {}, default=1.0)
-    out = recover_global(AlgorithmKind.parse("raecke"), abilene, tm,
+    out = recover_global(0, AlgorithmKind.parse("raecke"), abilene, tm,
                          SimConfig(seed=5))
     from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
     expected = paths_from_distribution(
