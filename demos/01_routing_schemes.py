@@ -5,7 +5,7 @@ Builds the four demand-independent path selectors and prints what each one
 installs for a single host pair, plus summary statistics over all pairs.
 """
 
-from tekit import KspConfig, ecmp, ksp, load_bundled_topology, spf, vlb
+from tekit import ecmp, ksp, load_bundled_topology, spf, vlb
 
 topo = load_bundled_topology("abilene")
 print(topo)
@@ -15,7 +15,7 @@ pair = ("h4", "h2")  # Denver-ish to Atlanta-ish
 schemes = {
     "spf": spf(topo),
     "ecmp": ecmp(topo),
-    "ksp(k=4)": ksp(topo, KspConfig(4)),
+    "ksp(k=4)": ksp(topo, 4),
     "vlb": vlb(topo),
 }
 

@@ -9,7 +9,7 @@ the routing scheme it induces.
 import logging
 import sys
 
-from tekit import RaeckeConfig, graphops, load_bundled_topology
+from tekit import graphops, load_bundled_topology
 from tekit.raecke import (frt_tree, paths_from_distribution,
                           raecke_distribution, stretch)
 
@@ -30,7 +30,7 @@ print("loop-shortcut to a path:  ", " -> ".join(graphops.shortcut(walk)))
 print("\nbuilding the tree distribution (iteration trace):")
 logging.basicConfig(stream=sys.stdout, format="  %(message)s")
 logging.getLogger("tekit.raecke").setLevel(logging.DEBUG)
-dist = raecke_distribution(topo, RaeckeConfig(seed=0))
+dist = raecke_distribution(topo, seed=0)
 print(f"-> {len(dist.trees)} distinct trees")
 for i, (t, p) in enumerate(dist.trees):
     print(f"   tree {i}: probability {p:.3f}")

@@ -9,8 +9,8 @@ base growing extra paths.
 
 import numpy as np
 
-from tekit import (MwConfig, RaeckeConfig, load_bundled_topology, mcf_mw,
-                   prune_to_budget, semi_mcf, semi_mcf_env, semi_mcf_ft_env)
+from tekit import (MwConfig, load_bundled_topology, mcf_mw, prune_to_budget,
+                   semi_mcf, semi_mcf_env, semi_mcf_ft_env)
 from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.model import TrafficMatrix
 from tekit.raecke import paths_from_distribution, raecke_distribution
@@ -29,7 +29,7 @@ for path, prob in sol.scheme[("hs", "ht")].items():
 topo = load_bundled_topology("abilene")
 state = GravityState.initial(topo.hosts, seed=1)
 demand_tm = gravity_tm(state, 1e9)
-dist = raecke_distribution(topo, RaeckeConfig(seed=1))
+dist = raecke_distribution(topo, seed=1)
 base = prune_to_budget(paths_from_distribution(dist, topo), 5)
 opt = mcf_mw(topo, demand_tm)
 fixed = semi_mcf(topo, demand_tm, base)

@@ -7,8 +7,8 @@ their one-step-ahead accuracy.
 """
 
 from tekit import load_bundled_topology
-from tekit.demand import (FlashConfig, GravityState, diurnal_scale,
-                          flash_burst, gravity_tm, mh_step,
+from tekit.demand import (GravityState, diurnal_scale, flash_burst,
+                          flash_sink, gravity_tm, mh_step,
                           perturb_for_prediction)
 from tekit.predict import choose_window, predict_next, prediction_error_report
 
@@ -27,7 +27,7 @@ for _ in range(80):
     tms.append(gravity_tm(state, 1e9))
     state = mh_step(state)
 
-burst = flash_burst(tms[0], FlashConfig(beta=2.0, sink_seed=4), elapsed=0)
+burst = flash_burst(tms[0], 2.0, 0, flash_sink(tms[0], 4, 0))
 extra = burst.total() - tms[0].total()
 print(f"\nflash burst adds {extra:.3g} bits/s toward one sink "
       f"({100 * extra / tms[0].total():.0f}% of total)")

@@ -7,9 +7,9 @@ failure and flash-burst models.
 """
 
 from .algorithms import BuildConfig, SchemeDriver, make_scheme, oblivious_scheme
-from .baseline import KspConfig, ecmp, ksp, spf, vlb
-from .demand import (FlashConfig, GravityState, NoEligibleSinkError,
-                     ZeroDemandError, diurnal_scale, flash_burst, generate_sequences,
+from .baseline import ecmp, ksp, spf, vlb
+from .demand import (GravityState, NoEligibleSinkError, ZeroDemandError,
+                     diurnal_scale, flash_burst, generate_sequences,
                      gravity_tm, mh_step, perturb_for_prediction)
 from .fileio import (ParseError, bundled_topology_names, load_bundled_topology,
                      load_topology, parse_topology, read_tm_sequence,
@@ -24,7 +24,7 @@ from .model import (AlgorithmKind, Edge, Path, Scheme, Topology, TopologyError,
 from .predict import (ErrorReport, InsufficientHistoryError,
                       LengthMismatchError, PredictorConfig, choose_window,
                       predict_next, prediction_error_report)
-from .raecke import (RaeckeConfig, RoutingTree, TreeDistribution, frt_tree,
+from .raecke import (RoutingTree, TreeDistribution, frt_tree,
                      paths_from_distribution, raecke_distribution, stretch)
 from .sim import (SimConfig, SimReport, StepMetrics, Summary, failure_schedule,
                   max_min_allocate, metrics_rollup, recover_global,

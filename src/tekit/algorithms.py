@@ -28,7 +28,6 @@ from .mcf import (MwConfig, PhaseLimitError, mcf_mw, semi_mcf, semi_mcf_env,
                   semi_mcf_ft_env)
 from .model import (OBLIVIOUS_TAGS, AlgorithmKind, Scheme, Topology,
                     TrafficMatrix, prune_to_budget)
-from .raecke import RaeckeConfig
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
     if tag == "vlb":
         return baseline.vlb(topo)
     if tag == "raecke":
-        dist = raecke.raecke_distribution(topo, RaeckeConfig(seed=cfg.seed))
+        dist = raecke.raecke_distribution(topo, cfg.seed)
         return raecke.paths_from_distribution(dist, topo)
     raise ValueError(f"not an oblivious algorithm: {tag}")
 

@@ -9,21 +9,11 @@ resolved by hop count and then lexicographic node sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import graphops
 from .model import Path, Scheme, Topology, lift, normalized
 
-
-@dataclass(frozen=True)
-class KspConfig:
-    """Number of shortest loopless paths to keep per pair."""
-
-    k: int = 4
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+#: shortest loopless paths ``ksp`` keeps per pair by default
+KSP_PATHS = 4
 
 
 def _shortest(topo: Topology) -> dict[str, dict[str, Path]]:
@@ -57,7 +47,7 @@ def ecmp(topo: Topology) -> Scheme:
         adj, lengths, s, d, dist_from[s], dist_to[d])))
 
 
-def ksp(topo: Topology, cfg: KspConfig = KspConfig()) -> Scheme:
+def ksp(topo: Topology, k: int = KSP_PATHS) -> Scheme:
     """The k shortest loopless paths per pair, uniform probabilities.
 
     Pairs with fewer than k distinct simple paths keep what exists.
@@ -65,7 +55,7 @@ def ksp(topo: Topology, cfg: KspConfig = KspConfig()) -> Scheme:
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     return lift(topo, lambda s, d: _uniform(
-        graphops.k_shortest_paths(adj, lengths, s, d, cfg.k)))
+        graphops.k_shortest_paths(adj, lengths, s, d, k)))
 
 
 def vlb(topo: Topology) -> Scheme:

@@ -40,7 +40,6 @@ from pathlib import Path as FsPath
 
 from . import demand, fileio, sim
 from .algorithms import limit_events
-from .demand import FlashConfig
 from .mcf import MwConfig, PhaseLimitError
 from .model import AlgorithmKind
 from .sim import SimConfig
@@ -79,7 +78,7 @@ def _log_to_stderr(verbose: bool) -> None:
 _CONFIG_FLAGS = {
     "--budget": (SimConfig, "budget", int),
     "--fail-num": (SimConfig, "phi", int),
-    "--flash-beta": (FlashConfig, "beta", float),
+    "--flash-beta": (SimConfig, "flash_beta", float),
     "--flash-lag": (SimConfig, "flash_lag", int),
     "--flash-recovery-period": (SimConfig, "flash_recovery_period", int),
     "--seed": (SimConfig, "seed", int),
@@ -176,21 +175,18 @@ def _workers(num_algos: int) -> int:
 
 
 def _sim_config(args) -> SimConfig:
-    """The run's settings; a flag value its config rejects is an InputError
-    that names the flag."""
+    """The run's settings, read from the flags of ``_CONFIG_FLAGS`` and
+    ``--recovery``; a flag value its config rejects is an InputError that
+    names the flag."""
+    fields = {MwConfig: {}, SimConfig: {"recovery": args.recovery}}
     for flag, (config, field, _) in _CONFIG_FLAGS.items():
         value = getattr(args, field)
         try:
             config(**{field: value})
         except ValueError as exc:
             raise InputError(f"{flag} {value}: {exc}") from exc
-    return SimConfig(
-        steps_per_tm=args.steps_per_tm, phi=args.phi, budget=args.budget,
-        recovery=args.recovery,
-        flash=FlashConfig(beta=args.beta, sink_seed=args.seed),
-        flash_lag=args.flash_lag,
-        flash_recovery_period=args.flash_recovery_period, seed=args.seed,
-        mw=MwConfig(accuracy=args.accuracy, max_phases=args.max_phases))
+        fields[config][field] = value
+    return SimConfig(mw=MwConfig(**fields[MwConfig]), **fields[SimConfig])
 
 
 def _run_one(topo, name, actual, predicted, cfg):

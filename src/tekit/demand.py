@@ -11,8 +11,8 @@ the first matrix's optimal congestion, and the weight perturbation used to
 manufacture noisy "predicted" sequences.
 
 All randomness is derived from numpy SeedSequences keyed by (seed, step,
-purpose), so a (seed, config) pair always reproduces the same byte-identical
-sequence regardless of call order.
+purpose), so a (seed, arguments) pair always reproduces the same
+byte-identical sequence regardless of call order.
 """
 
 from __future__ import annotations
@@ -173,50 +173,34 @@ def diurnal_scale(step: int, base_total: float, seed: int = 0,
     return base_total * f
 
 
-@dataclass(frozen=True)
-class FlashConfig:
-    """Flash-burst generator: a sudden spike of traffic toward one sink
-    host, decaying hyperbolically with half-life ``FLASH_HALF_LIFE_STEPS``."""
-
-    beta: float = 0.0
-    sink_seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"flash beta must be finite and >= 0, "
-                             f"got {self.beta!r}")
-
-
-def flash_sink(tm: TrafficMatrix, cfg: FlashConfig, tm_index: int = 0) -> str:
+def flash_sink(tm: TrafficMatrix, seed: int, tm_index: int) -> str:
     """Seeded choice of the burst sink among hosts that receive traffic."""
     col = tm.rates.sum(axis=0)
     eligible = [h for h, c in zip(tm.hosts, col) if c > 0]
     if not eligible:
         raise NoEligibleSinkError("no host receives any traffic")
-    rng = np.random.default_rng([cfg.sink_seed, _SINK, tm_index])
+    rng = np.random.default_rng([seed, _SINK, tm_index])
     return eligible[int(rng.integers(len(eligible)))]
 
 
-def flash_burst(tm: TrafficMatrix, cfg: FlashConfig, elapsed: int,
-                sink: str | None = None, tm_index: int = 0) -> TrafficMatrix:
-    """Add the flash burst toward the sink, decayed by elapsed steps.
+def flash_burst(tm: TrafficMatrix, beta: float, elapsed: int,
+                sink: str) -> TrafficMatrix:
+    """Add a flash burst of size ``beta`` toward the sink, decayed by
+    elapsed steps.
 
     The peak burst from host h to sink s is
     beta * (total demand / n_hosts) * d(h,s)/sum_i d(i,s), scaled by
     decay(t) = H/(H+t) so that one half-life halves the burst and the tail
-    stays heavy.  Entries outside column s are unchanged.
+    stays heavy.  Entries outside column s are unchanged; beta = 0 returns
+    an equal matrix.
     """
-    if cfg.beta == 0:
-        return tm
-    if sink is None:
-        sink = flash_sink(tm, cfg, tm_index)
     si = tm.hosts.index(sink)
     col = tm.rates[:, si]
     col_sum = col.sum()
     if col_sum <= 0:
         raise NoEligibleSinkError(f"sink {sink} receives no traffic")
     decay = FLASH_HALF_LIFE_STEPS / (FLASH_HALF_LIFE_STEPS + elapsed)
-    scale = cfg.beta * tm.total() / len(tm.hosts)
+    scale = beta * tm.total() / len(tm.hosts)
     rates = tm.rates.copy()
     rates[:, si] = col + decay * scale * (col / col_sum)
     rates[si, si] = 0.0

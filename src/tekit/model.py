@@ -16,6 +16,7 @@ Path selectors route switch pairs; ``lift`` attaches the host stubs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -99,11 +100,13 @@ class Topology:
         for (u, v), e in self.edges.items():
             if u not in self.nodes or v not in self.nodes:
                 raise TopologyError(f"edge {u}->{v} references unknown node")
-            if not e.capacity > 0:
-                raise TopologyError(f"edge {u}->{v}: capacity must be positive")
-            if not e.weight >= 0:
+            if not (math.isfinite(e.capacity) and e.capacity > 0):
                 raise TopologyError(
-                    f"edge {u}->{v}: latency weight must be non-negative")
+                    f"edge {u}->{v}: capacity must be finite and positive")
+            if not (math.isfinite(e.weight) and e.weight >= 0):
+                raise TopologyError(
+                    f"edge {u}->{v}: latency weight must be finite and "
+                    "non-negative")
             deg[u].add(v)
             deg[v].add(u)
         if not self.nodes:

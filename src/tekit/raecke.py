@@ -41,16 +41,8 @@ _log = logging.getLogger(__name__)
 EPSILON = 0.1
 #: the rounds stop once the accumulated tree weight exceeds this mass
 UTILIZATION_THRESHOLD = 1.0
-
-
-@dataclass(frozen=True)
-class RaeckeConfig:
-    max_iterations: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+#: the rounds stop here if the mass has not exceeded the threshold by then
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -240,8 +232,7 @@ def _tree_utilization(tree: RoutingTree, topo: Topology,
     return util
 
 
-def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
-                        ) -> TreeDistribution:
+def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
     """Iteratively build a probability distribution over routing trees.
 
     Edge lengths start at inverse capacity.  Each round samples a tree under
@@ -250,42 +241,36 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
     (1 + EPSILON)^(u(e,T)/u_max) so the next round avoids hot edges.  The
     loop stops once the accumulated tree weight sum_T 1/u_max(T) — the
     inverse-peak-utilization mass that later normalizes to the probability
-    distribution — strictly exceeds ``UTILIZATION_THRESHOLD``, or at
-    ``max_iterations`` (reported via RuntimeWarning; the distribution built
-    so far is still returned).  Since every round contributes at most 1/u_max, well-provisioned
-    topologies accumulate many trees before stopping, which is what gives
-    the scheme its path diversity.
+    distribution — strictly exceeds ``UTILIZATION_THRESHOLD``, or after
+    ``MAX_ITERATIONS`` rounds (reported via RuntimeWarning; the distribution
+    built so far is still returned).  Since every round contributes at most
+    1/u_max, well-provisioned topologies accumulate many trees before
+    stopping, which is what gives the scheme its path diversity.  ``seed``
+    keys the tree sampling.
 
     Trees that route every pair identically are merged by summing their
-    weights, so a graph with a single possible decomposition yields one
-    tree with probability 1.  Each round is logged at DEBUG level on the
-    ``tekit.raecke`` logger.
+    weights, in order of first appearance, so a graph with a single possible
+    decomposition yields one tree with probability 1.  Each round is logged
+    at DEBUG level on the ``tekit.raecke`` logger.
     """
     if len(topo.switches) == 1:
-        tree = frt_tree(topo, {}, [cfg.seed, 0])
+        tree = frt_tree(topo, {}, [seed, 0])
         return TreeDistribution(((tree, 1.0),), {}, iterations=1)
 
     lengths = graphops.inverse_capacity_lengths(topo)
-    weights: dict[tuple, float] = {}
-    first_tree: dict[tuple, RoutingTree] = {}
-    order: list[tuple] = []
+    merged: dict[tuple, list] = {}  # routing identity -> [tree, weight]
     hit_limit = True
     iterations = 0
     mass = 0.0
 
-    for i in range(cfg.max_iterations):
+    for i in range(MAX_ITERATIONS):
         iterations = i + 1
-        tree = frt_tree(topo, lengths, [cfg.seed, i])
+        tree = frt_tree(topo, lengths, [seed, i])
         climbs = tree.climbs()
         util = _tree_utilization(tree, topo, climbs)
         u_max = max(util.values())
         argmax = max(util, key=util.__getitem__)
-        key = _canonical(climbs)
-        if key not in weights:
-            weights[key] = 0.0
-            first_tree[key] = tree
-            order.append(key)
-        weights[key] += 1.0 / u_max
+        merged.setdefault(_canonical(climbs), [tree, 0.0])[1] += 1.0 / u_max
         mass += 1.0 / u_max
 
         for (a, b), u in util.items():
@@ -293,17 +278,17 @@ def raecke_distribution(topo: Topology, cfg: RaeckeConfig = RaeckeConfig(),
             lengths[(a, b)] *= boost
             lengths[(b, a)] *= boost
         _log.debug("iteration %d: u_max=%.6g argmax=%s mass=%.6g trees=%d",
-                   i, u_max, argmax, mass, len(order))
+                   i, u_max, argmax, mass, len(merged))
         if mass > UTILIZATION_THRESHOLD:
             hit_limit = False
             break
 
     if hit_limit:
         warnings.warn(
-            f"tree distribution stopped at max_iterations={cfg.max_iterations} "
+            f"tree distribution stopped at MAX_ITERATIONS={MAX_ITERATIONS} "
             "before the utilization threshold was exceeded", RuntimeWarning)
-    total = sum(weights.values())
-    trees = tuple((first_tree[k], weights[k] / total) for k in order)
+    total = sum(weight for _, weight in merged.values())
+    trees = tuple((tree, weight / total) for tree, weight in merged.values())
     return TreeDistribution(trees, dict(lengths),
                             hit_iteration_limit=hit_limit, iterations=iterations)
 

@@ -24,6 +24,7 @@ of the canonical serialization so identical seeded runs are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import algorithms
 from .baseline import spf
-from .demand import FlashConfig, flash_burst, flash_sink
+from .demand import flash_burst, flash_sink
 from .mcf import MwConfig, evaluate_scheme
 from .model import (AlgorithmKind, Path, Scheme, Topology, TopologyError,
                     TrafficMatrix, both_directions, churn, normalized,
@@ -54,12 +55,13 @@ class InfeasibleFailureError(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig(algorithms.BuildConfig):
     """Replay settings on top of the scheme-build ones (``budget``, ``mw``,
-    ``seed``)."""
+    ``seed``).  ``flash_beta`` > 0 adds a flash burst to every matrix, toward
+    a sink drawn from ``seed``; 0 means no burst."""
 
     steps_per_tm: int = 1000
     phi: int = 0
     recovery: str = "none"
-    flash: FlashConfig | None = None
+    flash_beta: float = 0.0
     flash_lag: int = 8
     flash_recovery_period: int = 200
     #: optional per-TM override of failed links (used by case studies)
@@ -71,6 +73,9 @@ class SimConfig(algorithms.BuildConfig):
             raise ValueError("phi must be >= 0")
         if self.steps_per_tm < 1:
             raise ValueError("steps per matrix must be >= 1")
+        if not (math.isfinite(self.flash_beta) and self.flash_beta >= 0):
+            raise ValueError(f"flash beta must be finite and >= 0, "
+                             f"got {self.flash_beta!r}")
         if self.flash_lag < 0:
             raise ValueError("flash lag must be >= 0")
         if self.flash_recovery_period < 1:
@@ -287,10 +292,10 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     with ``"global"`` the scheme is recomputed on the reduced topology
     (falling back to local if a removal would disconnect it).  The
     omniscient baseline recomputes on the reduced topology from the actual
-    matrix regardless.  Flash bursts, when configured, are injected into the
-    actual demands each step; every flash_recovery_period steps
-    weight-adaptive algorithms re-balance using the burst as observed
-    flash_lag steps earlier.
+    matrix regardless.  With ``flash_beta`` > 0 a flash burst toward a sink
+    drawn per matrix from ``seed`` is injected into the actual demands each
+    step; every flash_recovery_period steps weight-adaptive algorithms
+    re-balance using the burst as observed flash_lag steps earlier.
     """
     kind = (AlgorithmKind.parse(scheme_source)
             if isinstance(scheme_source, str) else scheme_source)
@@ -311,7 +316,6 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     churn_tl: list[int] = []
     paths_tl: list[int] = []
     prev_installed: Scheme | None = None
-    flash_on = cfg.flash is not None and cfg.flash.beta > 0
 
     for t in range(num_tms):
         atm, ptm = actual_tms[t], predicted_tms[t]
@@ -341,30 +345,30 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                     lambda: recover_local(installed, failed, kind, topo, ptm,
                                           cfg.mw))
 
-        if not flash_on:
+        if cfg.flash_beta == 0:
             metrics = _propagate(topo, scheme, atm, dead)
             steps_out.append([metrics] * cfg.steps_per_tm)
             continue
 
-        sink = flash_sink(atm, cfg.flash, t)
+        sink = flash_sink(atm, cfg.seed, t)
         step_scheme = scheme
         tm_steps: list[StepMetrics] = []
         for step in range(cfg.steps_per_tm):
             if (cfg.recovery != "none" and step > 0
                     and step % cfg.flash_recovery_period == 0):
                 if kind.tag == "optimalmcf":
-                    current = flash_burst(atm, cfg.flash, step, sink)
+                    current = flash_burst(atm, cfg.flash_beta, step, sink)
                     step_scheme = driver.solve_conscious(
                         topo_t or topo, current, f"{kind.name} flash solve")
                 elif kind.category != "oblivious":
                     lag = max(0, step - cfg.flash_lag)
-                    observed = flash_burst(atm, cfg.flash, lag, sink)
+                    observed = flash_burst(atm, cfg.flash_beta, lag, sink)
                     live = _surviving(driver.reweight_source(scheme), dead)
                     step_scheme = driver.timed(
                         f"{kind.name} flash reweight tm{t} step{step}",
                         lambda: algorithms.reweight(topo, live, observed,
                                                     cfg.mw))
-            demand = flash_burst(atm, cfg.flash, step, sink)
+            demand = flash_burst(atm, cfg.flash_beta, step, sink)
             tm_steps.append(_propagate(topo, step_scheme, demand, dead))
         steps_out.append(tm_steps)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tekit
-from tekit import (MwConfig, RaeckeConfig, SimConfig, evaluate_scheme,
+from tekit import (MwConfig, SimConfig, evaluate_scheme,
                    failure_schedule, graphops, load_bundled_topology, mcf_mw,
                    metrics_rollup, prune_to_budget, semi_mcf, simulate)
 from tekit.cli import main as cli_main
@@ -43,7 +43,7 @@ def abilene_sweep(abilene):
         tms.append(tm)
         opt.append(mcf_mw(abilene, tm, MwConfig(accuracy=ACCURACY)).max_congestion)
         state = mh_step(state)
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=0))
+    dist = raecke_distribution(abilene, 0)
     scheme = paths_from_distribution(dist, abilene)
     return tms, np.array(opt), scheme
 
@@ -252,7 +252,7 @@ def test_c11_prediction_error_ordering(abilene):
             predicted.append(
                 gravity_tm(perturb_for_prediction(state, 0.4, seed), 1e9))
             state = mh_step(state)
-        dist = raecke_distribution(abilene, RaeckeConfig(seed=seed))
+        dist = raecke_distribution(abilene, seed)
         raecke_scheme = paths_from_distribution(dist, abilene)
         base = prune_to_budget(raecke_scheme, 5)
         cfg = MwConfig(accuracy=ACCURACY)

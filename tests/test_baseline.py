@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tekit import (Edge, KspConfig, Topology, ecmp, graphops, ksp, spf,
+from tekit import (Edge, Topology, ecmp, graphops, ksp, spf,
                    validate_scheme, vlb)
 
 from conftest import TIED_LENGTHS, build_topology, random_topology
@@ -118,21 +118,21 @@ def test_ecmp_searches_once_per_switch_and_direction(monkeypatch):
 
 
 def test_ksp_diamond_two_paths(diamond):
-    scheme = ksp(diamond, KspConfig(2))
+    scheme = ksp(diamond, 2)
     entry = scheme[("hs", "ht")]
     assert len(entry) == 2
     assert all(v == pytest.approx(0.5) for v in entry.values())
 
 
 def test_ksp_degenerate_on_line(line4):
-    scheme = ksp(line4, KspConfig(3))
+    scheme = ksp(line4, 3)
     assert scheme[("h_a", "h_d")] == {("h_a", "a", "b", "c", "d", "h_d"): 1.0}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ksp_matches_brute_force_top4(seed):
     topo = random_topology(seed + 400, n_switches=8, extra_links=5)
-    scheme = ksp(topo, KspConfig(4))
+    scheme = ksp(topo, 4)
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     for (s, d), dist in scheme.items():
@@ -146,7 +146,7 @@ def test_ksp_matches_brute_force_top4(seed):
 
 
 def test_ksp_k1_equals_spf(abilene):
-    assert ksp(abilene, KspConfig(1)) == spf(abilene)
+    assert ksp(abilene, 1) == spf(abilene)
 
 
 def test_vlb_triangle_single_intermediate(triangle):
@@ -178,7 +178,7 @@ def test_vlb_mean_hops_at_least_spf():
 
 
 def test_all_baselines_validate(abilene):
-    for scheme in (spf(abilene), ecmp(abilene), ksp(abilene, KspConfig(3)),
+    for scheme in (spf(abilene), ecmp(abilene), ksp(abilene, 3),
                    vlb(abilene)):
         assert validate_scheme(scheme, abilene) == []
 
@@ -194,5 +194,5 @@ def test_oblivious_outputs_are_demand_independent(abilene):
     # schemes depend only on the topology: two invocations are identical
     assert spf(abilene) == spf(abilene)
     assert ecmp(abilene) == ecmp(abilene)
-    assert ksp(abilene, KspConfig(4)) == ksp(abilene, KspConfig(4))
+    assert ksp(abilene, 4) == ksp(abilene, 4)
     assert vlb(abilene) == vlb(abilene)

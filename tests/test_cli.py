@@ -3,14 +3,18 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import tekit
 from tekit import fileio
-from tekit.cli import _workers, main
+from tekit.cli import _CONFIG_FLAGS, _workers, main
+from tekit.mcf import MwConfig
 from tekit.model import ALGORITHM_NAMES, AlgorithmKind
+from tekit.sim import SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +275,22 @@ def test_run_missing_topology_exits_2(tmp_path, capsys):
     assert "topology" in capsys.readouterr().err
 
 
+def test_run_infinite_capacity_exits_2(tmp_path, capsys):
+    topo = tmp_path / "inf.topo"
+    topo.write_text("node s1 switch\nnode s2 switch\nnode h1 host\n"
+                    "node h2 host\nlink h1 s1 cap=10bps\n"
+                    "link h2 s2 cap=10bps\nlink s1 s2 cap=1e999bps\n")
+    tms = tmp_path / "one.tms"
+    tms.write_text("0 1 2 0\n")
+    rc = main(["run", "--topo", str(topo), "--tms", str(tms), "--pred",
+               str(tms), "--algos", "raecke", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: topology: ") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
 def test_run_deterministic_outputs(topo_path, demand_files, tmp_path):
     args = ["run", "--topo", topo_path,
             "--tms", f"{demand_files}.actual.tms",
@@ -340,6 +360,26 @@ def test_run_comparison_table_matches_golden(topo_path, tmp_path):
     assert (run_dir / "comparison.csv").read_bytes() == golden.read_bytes()
 
 
+def test_run_flash_comparison_table_matches_golden(topo_path, tmp_path):
+    """A run with a link failure, local recovery and a flash burst
+    reproduces its frozen comparison table."""
+    gen = tmp_path / "g"
+    assert main(["gen-demands", "--topo", topo_path, "--num-tms", "3",
+                 "--seed", "29", "--prediction-error", "0.2",
+                 "--out", str(gen)]) == 0
+    assert main(["run", "--topo", topo_path,
+                 "--tms", f"{gen}.actual.tms", "--pred", f"{gen}.predicted.tms",
+                 "--algos", "ecmp,raecke,semimcfraecke,optimalmcf",
+                 "--budget", "3", "--scale", "2.0", "--fail-num", "1",
+                 "--recovery", "local", "--flash-beta", "3",
+                 "--flash-lag", "4", "--flash-recovery-period", "10",
+                 "--steps", "30", "--seed", "29",
+                 "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    golden = Path(__file__).parent / "data" / "golden_flash_comparison.csv"
+    assert (run_dir / "comparison.csv").read_bytes() == golden.read_bytes()
+
+
 def test_run_dir_name_embeds_parameters(topo_path, demand_files, tmp_path):
     rc = main(["run", "--topo", topo_path,
                "--tms", f"{demand_files}.actual.tms",
@@ -383,6 +423,20 @@ def test_run_bad_parallel_setting_exits_2(value, topo_path, demand_files,
                "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "TEKIT_PARALLEL" in capsys.readouterr().err
+
+
+def test_every_run_setting_has_one_flag():
+    """Each SimConfig and MwConfig field is set by exactly one config flag,
+    except the nested solver config, --recovery (a choices flag of its own)
+    and the explicit failure schedule of the library case studies."""
+    exempt = {"mw", "recovery", "explicit_failures"}
+    settings = Counter((config.__name__, f.name)
+                       for config in (SimConfig, MwConfig)
+                       for f in fields(config) if f.name not in exempt)
+    flagged = Counter((config.__name__, field)
+                      for config, field, _ in _CONFIG_FLAGS.values())
+    assert flagged == settings
+    assert set(flagged.values()) == {1}
 
 
 def test_parallel_workers_are_capped(monkeypatch):

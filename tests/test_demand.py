@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tekit
-from tekit.demand import (FLASH_HALF_LIFE_STEPS, FlashConfig, GravityState,
+from tekit.demand import (FLASH_HALF_LIFE_STEPS, GravityState,
                           NoEligibleSinkError, ZeroDemandError, diurnal_scale,
                           flash_burst, flash_sink, generate_sequences,
                           gravity_tm, mh_step, perturb_for_prediction,
@@ -137,14 +137,14 @@ def _flash_tm():
 
 def test_flash_beta_zero_identity():
     tm = _flash_tm()
-    out = flash_burst(tm, FlashConfig(beta=0.0), elapsed=0)
+    out = flash_burst(tm, 0.0, 0, "h3")
     assert out == tm
 
 
 def test_flash_peak_formula():
     # n=3, total=90, d(h,s)/colsum = 0.5 for both senders, beta=2 -> 30 each
     tm = _flash_tm()
-    out = flash_burst(tm, FlashConfig(beta=2.0), elapsed=0, sink="h3")
+    out = flash_burst(tm, 2.0, 0, "h3")
     burst = out.rates - tm.rates
     assert burst[0, 2] == pytest.approx(30.0)
     assert burst[1, 2] == pytest.approx(30.0)
@@ -153,17 +153,14 @@ def test_flash_peak_formula():
 
 def test_flash_half_life():
     tm = _flash_tm()
-    cfg = FlashConfig(beta=2.0)
-    peak = flash_burst(tm, cfg, elapsed=0, sink="h3").rates - tm.rates
-    half = flash_burst(tm, cfg, elapsed=FLASH_HALF_LIFE_STEPS,
-                       sink="h3").rates - tm.rates
+    peak = flash_burst(tm, 2.0, 0, "h3").rates - tm.rates
+    half = flash_burst(tm, 2.0, FLASH_HALF_LIFE_STEPS, "h3").rates - tm.rates
     assert np.allclose(half, peak / 2.0)
 
 
 def test_flash_additive_on_sink_column_only():
     tm = _flash_tm()
-    out = flash_burst(tm, FlashConfig(beta=1.0, sink_seed=4), elapsed=3,
-                      tm_index=2)
+    out = flash_burst(tm, 1.0, 3, flash_sink(tm, 4, 2))
     diff = out.rates - tm.rates
     cols = np.nonzero(diff.sum(axis=0))[0]
     assert len(cols) == 1
@@ -173,13 +170,12 @@ def test_flash_additive_on_sink_column_only():
 def test_flash_no_eligible_sink():
     tm = TrafficMatrix(("a", "b"), np.zeros((2, 2)))
     with pytest.raises(NoEligibleSinkError):
-        flash_sink(tm, FlashConfig(beta=1.0))
+        flash_sink(tm, 0, 0)
 
 
 def test_flash_sink_deterministic():
     tm = _flash_tm()
-    cfg = FlashConfig(beta=1.0, sink_seed=9)
-    assert flash_sink(tm, cfg, 3) == flash_sink(tm, cfg, 3)
+    assert flash_sink(tm, 9, 3) == flash_sink(tm, 9, 3)
 
 
 # -- scale normalization -------------------------------------------------------

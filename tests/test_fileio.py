@@ -92,6 +92,10 @@ def test_topology_round_trip_property(topo):
     ("node a switch\nnode b switch\nlink a b weight=1", "missing cap"),
     ("node a switch\nnode b switch\nlink a b cap=1bps speed=3", "unknown attribute"),
     ("frob a b", "unknown directive"),
+    ("node a switch\nnode b switch\nlink a b cap=1e999bps",
+     "capacity must be finite"),
+    ("node a switch\nnode b switch\nlink a b cap=1bps weight=1e999",
+     "weight must be finite"),
 ])
 def test_parse_errors(bad, msg):
     with pytest.raises((ParseError, Exception), match=msg):

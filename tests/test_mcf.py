@@ -8,7 +8,6 @@ from tekit import (DisconnectedScenarioError, EmptyWindowError,
                    MissingPathsError, MwConfig, PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
                    mcf_mw, semi_mcf, semi_mcf_env, semi_mcf_ft_env, spf,
                    validate_scheme)
-from tekit.baseline import KspConfig
 from tekit.model import Edge, Topology, TrafficMatrix
 
 from conftest import build_topology, random_topology, tm_of
@@ -107,7 +106,7 @@ def test_semi_single_path_forced(line4):
 
 
 def test_semi_diamond_split(diamond):
-    base = ksp(diamond, KspConfig(2))
+    base = ksp(diamond, 2)
     tm = tm_of(diamond, {("hs", "ht"): 20.0})
     sol = semi_mcf(diamond, tm, base)
     assert 0.5 <= sol.max_congestion <= 0.525
@@ -119,7 +118,7 @@ def test_semi_diamond_split(diamond):
 
 
 def test_semi_never_leaves_base(abilene):
-    base = ksp(abilene, KspConfig(3))
+    base = ksp(abilene, 3)
     tm = tm_of(abilene, {}, default=2e8)
     sol = semi_mcf(abilene, tm, base)
     for pair, dist in sol.scheme.items():
@@ -165,7 +164,7 @@ def test_semi_full_base_matches_unrestricted(seed):
 
 def test_unrestricted_never_worse_than_semi(abilene):
     tm = tm_of(abilene, {}, default=2e8)
-    base = ksp(abilene, KspConfig(2))
+    base = ksp(abilene, 2)
     full = mcf_mw(abilene, tm)
     restricted = semi_mcf(abilene, tm, base)
     assert full.max_congestion <= (1 + 2 * 0.05) * restricted.max_congestion
@@ -287,11 +286,10 @@ def test_optimal_step_runs_on_reduced_topology(abilene):
 
 def _abilene_pin_inputs(abilene):
     from tekit.demand import generate_sequences
-    from tekit.raecke import (RaeckeConfig, paths_from_distribution,
-                              raecke_distribution)
+    from tekit.raecke import paths_from_distribution, raecke_distribution
     tm = generate_sequences(abilene, 1, seed=4)[0][0]
     base = tekit.prune_to_budget(paths_from_distribution(
-        raecke_distribution(abilene, RaeckeConfig(seed=0)), abilene), 3)
+        raecke_distribution(abilene, 0), abilene), 3)
     return tm, base
 
 
@@ -372,7 +370,7 @@ def test_mcf_mw_certificate_property(seed, n_switches, extra_links, acc):
 def test_semi_mcf_certificate_property(seed, n_switches, extra_links, acc, k):
     topo, tm = _random_case(seed, n_switches, extra_links)
     assume(tm.total() > 0)
-    base = ksp(topo, KspConfig(k))
+    base = ksp(topo, k)
     sol = _solve_checked(
         lambda: semi_mcf(topo, tm, base, MwConfig(accuracy=acc)), acc)
     for pair, dist in sol.scheme.items():

@@ -6,7 +6,7 @@ from tekit import (AlgorithmKind, Edge, Topology, TopologyError, TrafficMatrix,
                    churn, prune_to_budget, validate_scheme)
 from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.model import ALGORITHM_NAMES, both_directions, lift
-from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
+from tekit.raecke import paths_from_distribution, raecke_distribution
 
 from conftest import tm_of
 
@@ -23,7 +23,9 @@ def test_topology_rejects_nonpositive_capacity():
 
 
 @pytest.mark.parametrize("cap, weight", [(float("nan"), 1.0),
-                                          (1.0, float("nan"))])
+                                          (1.0, float("nan")),
+                                          (float("inf"), 1.0),
+                                          (1.0, float("inf"))])
 def test_topology_rejects_nan_capacity_or_weight(cap, weight):
     with pytest.raises(TopologyError):
         Topology("bad", {"a": "switch", "b": "switch"},
@@ -107,7 +109,7 @@ def test_prune_idempotent_and_monotone():
 
 
 def test_prune_raecke_abilene_budget3(abilene):
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=12))
+    dist = raecke_distribution(abilene, 12)
     scheme = paths_from_distribution(dist, abilene)
     pruned = prune_to_budget(scheme, 3)
     for pair, d in pruned.items():
@@ -151,7 +153,7 @@ def test_mcf_churns_more_than_semi_raecke(abilene):
     for _ in range(10):
         tms.append(gravity_tm(state, 1e9))
         state = mh_step(state)
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=4))
+    dist = raecke_distribution(abilene, 4)
     base = prune_to_budget(paths_from_distribution(dist, abilene), 5)
 
     mcf_total = semi_total = 0

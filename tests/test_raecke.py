@@ -4,10 +4,10 @@ import warnings
 import pytest
 
 import tekit
-from tekit import graphops, validate_scheme
+from tekit import graphops, raecke, validate_scheme
 from tekit.demand import GravityState, gravity_tm, mh_step
-from tekit.raecke import (RaeckeConfig, RoutingTree, frt_tree,
-                          paths_from_distribution, raecke_distribution, stretch)
+from tekit.raecke import (RoutingTree, frt_tree, paths_from_distribution,
+                          raecke_distribution, stretch)
 
 from conftest import build_topology, random_topology
 
@@ -104,44 +104,45 @@ def test_frt_stretch_envelope_path8(path8):
 
 
 def test_distribution_single_edge(single_edge):
-    dist = raecke_distribution(single_edge, RaeckeConfig(seed=3))
+    dist = raecke_distribution(single_edge, 3)
     assert len(dist.trees) == 1
     assert dist.trees[0][1] == pytest.approx(1.0)
 
 
 def test_distribution_abilene_diverse(abilene):
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=7))
+    dist = raecke_distribution(abilene, 7)
     assert len(dist.trees) >= 2
     assert sum(p for _, p in dist.trees) == pytest.approx(1.0, abs=1e-9)
     assert all(p > 0 for _, p in dist.trees)
 
 
 def test_distribution_lengths_monotone(abilene):
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=5))
+    dist = raecke_distribution(abilene, 5)
     init = graphops.inverse_capacity_lengths(abilene)
     for edge, ln in dist.lengths_final.items():
         assert ln >= init[edge] - 1e-15
 
 
 def test_distribution_deterministic(abilene):
-    a = raecke_distribution(abilene, RaeckeConfig(seed=11)).serialize()
-    b = raecke_distribution(abilene, RaeckeConfig(seed=11)).serialize()
+    a = raecke_distribution(abilene, 11).serialize()
+    b = raecke_distribution(abilene, 11).serialize()
     assert a.encode() == b.encode()
-    c = raecke_distribution(abilene, RaeckeConfig(seed=12)).serialize()
+    c = raecke_distribution(abilene, 12).serialize()
     assert a != c
 
 
-def test_distribution_iteration_limit_reported(abilene):
+def test_distribution_iteration_limit_reported(abilene, monkeypatch):
+    monkeypatch.setattr(raecke, "MAX_ITERATIONS", 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dist = raecke_distribution(abilene, RaeckeConfig(seed=1, max_iterations=1))
+        dist = raecke_distribution(abilene, 1)
     assert dist.hit_iteration_limit
     assert dist.trees  # distribution still returned
-    assert any("max_iterations" in str(w.message) for w in caught)
+    assert any("MAX_ITERATIONS=1" in str(w.message) for w in caught)
 
 
 def test_paths_single_tree_deterministic(triangle):
-    dist = raecke_distribution(triangle, RaeckeConfig(seed=2))
+    dist = raecke_distribution(triangle, 2)
     one_tree = type(dist)(trees=(dist.trees[0][0], ), lengths_final={})
     # rebuild with a single tree at probability 1
     one_tree = type(dist)(trees=((dist.trees[0][0], 1.0),), lengths_final={})
@@ -155,7 +156,7 @@ def test_paths_single_tree_deterministic(triangle):
 def test_paths_probabilities_sum_to_one(topo_name):
     topo = tekit.load_bundled_topology(topo_name)
     for seed in range(50):
-        dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+        dist = raecke_distribution(topo, seed)
         scheme = paths_from_distribution(dist, topo)
         for pair, d in scheme.items():
             assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
@@ -199,7 +200,7 @@ def test_schemes_validate_on_bundled_topologies_100_seeds():
     for name in ("abilene", "triangle", "diamond", "path8"):
         topo = tekit.load_bundled_topology(name)
         for seed in range(100):
-            dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+            dist = raecke_distribution(topo, seed)
             scheme = paths_from_distribution(dist, topo)
             assert validate_scheme(scheme, topo) == []
 
@@ -210,7 +211,7 @@ def test_congestion_within_small_factor_of_optimum(topo_name):
     flow on gravity demands (the Abilene case runs in the acceptance
     suite)."""
     topo = tekit.load_bundled_topology(topo_name)
-    dist = raecke_distribution(topo, RaeckeConfig(seed=0))
+    dist = raecke_distribution(topo, 0)
     scheme = paths_from_distribution(dist, topo)
     state = GravityState.initial(topo.hosts, seed=1)
     good = 0

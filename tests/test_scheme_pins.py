@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from tekit import (Edge, RaeckeConfig, Topology, ecmp, ksp,
+from tekit import (Edge, Topology, ecmp, ksp,
                    load_bundled_topology, paths_from_distribution,
                    raecke_distribution, spf, stretch, vlb)
 
@@ -39,7 +39,7 @@ def _with_shared_hosts(topo):
 
 def _raecke(seed):
     def build(topo):
-        dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+        dist = raecke_distribution(topo, seed)
         return paths_from_distribution(dist, topo)
     return build
 
@@ -109,7 +109,7 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("topo_name, seed", sorted(DIST_PINS))
 def test_tree_distribution_is_pinned(topologies, topo_name, seed):
     topo = topologies[topo_name]
-    dist = raecke_distribution(topo, RaeckeConfig(seed=seed))
+    dist = raecke_distribution(topo, seed)
     first = dist.trees[0][0]
     got = (_sha256(dist.serialize()),
            _sha256(repr(stretch(first, topo, dist.lengths_final))))

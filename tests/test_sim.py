@@ -9,7 +9,7 @@ import tekit
 from tekit import (AlgorithmKind, SimConfig, failure_schedule, max_min_allocate,
                    metrics_rollup, recover_global, recover_local, simulate)
 from tekit.algorithms import limit_events
-from tekit.demand import FlashConfig, GravityState, gravity_tm, mh_step
+from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.mcf import MwConfig
 from tekit.sim import InfeasibleFailureError, report_to_csv
 
@@ -155,8 +155,8 @@ def test_recover_local_renormalizes():
 
 
 def test_recover_local_semi_keeps_surviving_base(abilene):
-    from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
-    dist = raecke_distribution(abilene, RaeckeConfig(seed=3))
+    from tekit.raecke import paths_from_distribution, raecke_distribution
+    dist = raecke_distribution(abilene, 3)
     base = tekit.prune_to_budget(paths_from_distribution(dist, abilene), 5)
     state = GravityState.initial(abilene.hosts, seed=3)
     tm = gravity_tm(state, 1e9)
@@ -186,9 +186,9 @@ def test_recover_global_without_failures_is_identity(abilene):
     tm = tm_of(abilene, {}, default=1.0)
     out = recover_global(0, AlgorithmKind.parse("raecke"), abilene, tm,
                          SimConfig(seed=5))
-    from tekit.raecke import RaeckeConfig, paths_from_distribution, raecke_distribution
+    from tekit.raecke import paths_from_distribution, raecke_distribution
     expected = paths_from_distribution(
-        raecke_distribution(abilene, RaeckeConfig(seed=5)), abilene)
+        raecke_distribution(abilene, 5), abilene)
     assert out == expected
 
 
@@ -290,8 +290,7 @@ def test_simulation_deterministic(abilene):
     state = GravityState.initial(abilene.hosts, seed=10)
     tms = [gravity_tm(state, 5e9)]
     cfg = SimConfig(steps_per_tm=3, phi=1, recovery="local", seed=11,
-                    flash=FlashConfig(beta=1.0, sink_seed=11),
-                    flash_recovery_period=2)
+                    flash_beta=1.0, flash_recovery_period=2)
     a = simulate(abilene, "semimcfraecke", tms, tms, cfg).serialize()
     b = simulate(abilene, "semimcfraecke", tms, tms, cfg).serialize()
     assert a.encode() == b.encode()
@@ -299,8 +298,7 @@ def test_simulation_deterministic(abilene):
 
 def test_flash_burst_decays_inside_tm(line4):
     tm = tm_of(line4, {("h_a", "h_d"): 10.0, ("h_a", "h_b"): 1.0})
-    cfg = SimConfig(steps_per_tm=6, seed=0,
-                    flash=FlashConfig(beta=3.0, sink_seed=5))
+    cfg = SimConfig(steps_per_tm=6, seed=5, flash_beta=3.0)
     rep = simulate(line4, "spf", [tm], [tm], cfg)
     demands = [m.demand_total for m in rep.steps[0]]
     assert demands[0] > demands[1] > demands[-1] > tm.total() - 1e-9
@@ -309,8 +307,7 @@ def test_flash_burst_decays_inside_tm(line4):
 def test_flash_recovery_reweights(abilene):
     state = GravityState.initial(abilene.hosts, seed=12)
     tm = gravity_tm(state, 6e9)
-    flash = FlashConfig(beta=4.0, sink_seed=3)
-    base_cfg = dict(steps_per_tm=30, seed=3, flash=flash,
+    base_cfg = dict(steps_per_tm=30, seed=3, flash_beta=4.0,
                     flash_recovery_period=10, budget=5)
     no_rec = simulate(abilene, "semimcfraecke", [tm], [tm],
                       SimConfig(recovery="none", **base_cfg))
@@ -356,9 +353,8 @@ def test_recovery_and_flash_phase_limits_are_reported(abilene):
                    replace(failed, recovery="global"))
     assert any(ev.startswith("global recovery: ")
                for ev in limit_events(rep.solves))
-    flash = SimConfig(steps_per_tm=3, recovery="local", mw=strict,
-                      flash=FlashConfig(beta=4.0, sink_seed=3),
-                      flash_recovery_period=1, flash_lag=0)
+    flash = SimConfig(steps_per_tm=3, recovery="local", mw=strict, seed=3,
+                      flash_beta=4.0, flash_recovery_period=1, flash_lag=0)
     rep = simulate(abilene, "semimcfraecke", [tm], [tm], flash)
     assert any("flash reweight tm0 step1" in ev
                for ev in limit_events(rep.solves))
@@ -369,7 +365,7 @@ def test_reweight_phase_limit_carries_stranded_pairs(abilene):
     from tekit.mcf import PhaseLimitError
     state = GravityState.initial(abilene.hosts, seed=12)
     tm = gravity_tm(state, 6e9)
-    base = tekit.ksp(abilene, tekit.KspConfig(2))
+    base = tekit.ksp(abilene, 2)
     base[("h1", "h2")] = {}
     with pytest.raises(PhaseLimitError) as info:
         reweight(abilene, base, tm, MwConfig(max_phases=2))
