@@ -37,6 +37,8 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -157,11 +159,6 @@ class SchemeDriver:
         else:  # mcf
             topo, tm = self.topo, predicted
         return self.solve_conscious(topo, tm, f"{kind.name} solve tm{t}")
-
-    def reweight_source(self, current: Scheme) -> Scheme:
-        """The installed paths (which local recovery prunes): the kept base
-        for oblivious and semi-oblivious kinds, the current scheme otherwise."""
-        return self.base if self.base is not None else current
 
     def solve_conscious(self, topo_current: Topology, tm: TrafficMatrix,
                         label: str) -> Scheme:

@@ -208,9 +208,6 @@ class TrafficMatrix:
     def get(self, src: str, dst: str) -> float:
         return float(self.rates[self._index[src], self._index[dst]])
 
-    def __getitem__(self, pair: tuple[str, str]) -> float:
-        return self.get(*pair)
-
     def total(self) -> float:
         return float(self.rates.sum())
 

@@ -6,7 +6,9 @@ algorithm.  Per matrix it refreshes the algorithm's scheme from the
 fixed-path adaptive ones re-balance weights over their installed base,
 oblivious ones never change), applies the path budget, injects link
 failures per the failure model, and then pushes the *actual* demands
-through the network for a configurable number of steps.
+through the network for a configurable number of steps.  One solve answers
+each matrix: on a failed matrix with recovery on, a fixed-path adaptive
+algorithm runs only its recovery solve over its installed paths.
 
 Traffic is fluid: each step, every path requests demand * probability on
 every link it crosses, each link divides its capacity by max-min fair
@@ -82,8 +84,6 @@ class SimConfig(algorithms.BuildConfig):
             raise ValueError("flash recovery period must be >= 1")
         if self.recovery not in RECOVERY_MODES:
             raise ValueError(f"recovery must be one of {RECOVERY_MODES}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 @dataclass
@@ -202,27 +202,29 @@ def _surviving(scheme: Scheme, dead: frozenset) -> Scheme:
 
 
 def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
-                  tm_lagged: TrafficMatrix, mw: MwConfig = MwConfig()) -> Scheme:
+                  tm: TrafficMatrix, mw: MwConfig = MwConfig()) -> Scheme:
     """Edge-local failure response: drop paths through failed links, then
-    re-balance.  Adaptive-weight kinds re-solve their rates over the
-    surviving paths with the freshest demands available; everything else
-    just renormalizes.  Pairs left with no surviving path keep an empty
-    entry — their traffic becomes failure loss downstream, never an error.
+    re-balance.  Adaptive-weight kinds re-solve their rates for ``tm`` over
+    the surviving paths; everything else just renormalizes.  Pairs left
+    with no surviving path keep an empty entry — their traffic becomes
+    failure loss downstream, never an error.
     """
     dead = both_directions(failed)
     survived = _surviving(scheme, dead)
     if kind.category == "semi-oblivious":
-        return algorithms.reweight(topo, survived, tm_lagged, mw)
+        return algorithms.reweight(topo, survived, tm, mw)
     return {pair: normalized(dist) for pair, dist in survived.items()}
 
 
 def recover_global(t: int, kind: AlgorithmKind, topo_minus_failed: Topology,
                    predicted_tm: TrafficMatrix, cfg: SimConfig,
-                   solves: list[algorithms.Solve] | None = None) -> Scheme:
+                   solves: list[algorithms.Solve] | None = None,
+                   ) -> tuple[Scheme, Scheme]:
     """Recompute the whole algorithm on the reduced topology for matrix
-    index ``t``.  The recomputation's solve records are appended to
-    ``solves``, when it is given, labelled ``global recovery: <label>``;
-    a per-matrix label names ``tm<t>``."""
+    index ``t``: the scheme and its installed paths (the recomputed base of
+    a kind that keeps one, else the scheme).  The recomputation's solve
+    records are appended to ``solves``, when it is given, labelled
+    ``global recovery: <label>``; a per-matrix label names ``tm<t>``."""
     driver = algorithms.SchemeDriver(topo_minus_failed, kind, [predicted_tm],
                                      cfg)
     scheme = driver.scheme_for(t, predicted_tm, predicted_tm,
@@ -230,7 +232,7 @@ def recover_global(t: int, kind: AlgorithmKind, topo_minus_failed: Topology,
     if solves is not None:
         solves.extend(replace(s, label=f"global recovery: {s.label}")
                       for s in driver.solves)
-    return scheme
+    return scheme, scheme if driver.base is None else driver.base
 
 
 def _propagate(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
@@ -290,12 +292,14 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     Failures follow the phi schedule (or ``cfg.explicit_failures``).  With
     ``recovery="local"`` failed paths are dropped and rates re-balanced;
     with ``"global"`` the scheme is recomputed on the reduced topology
-    (falling back to local if a removal would disconnect it).  The
+    (falling back to local if a removal would disconnect it); on such a
+    matrix a semi-oblivious kind runs only that recovery solve.  The
     omniscient baseline recomputes on the reduced topology from the actual
     matrix regardless.  With ``flash_beta`` > 0 a flash burst toward a sink
     drawn per matrix from ``seed`` is injected into the actual demands each
     step; every flash_recovery_period steps weight-adaptive algorithms
-    re-balance using the burst as observed flash_lag steps earlier.
+    re-balance their surviving installed paths using the burst as observed
+    flash_lag steps earlier.
     """
     kind = (AlgorithmKind.parse(scheme_source)
             if isinstance(scheme_source, str) else scheme_source)
@@ -321,29 +325,32 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
         atm, ptm = actual_tms[t], predicted_tms[t]
         failed = failures[t]
         dead = both_directions(failed)
+        recovery = (cfg.recovery if failed and kind.tag != "optimalmcf"
+                    else "none")
         topo_t = topo
         if failed:
             try:
                 topo_t = topo.without_links(failed)
-            except TopologyError:
-                topo_t = None  # disconnected; global recovery degrades to local
+            except TopologyError:  # disconnected: global degrades to local
+                recovery = "local" if recovery == "global" else recovery
 
-        scheme = driver.scheme_for(t, ptm, atm, topo_t or topo)
-        installed = driver.reweight_source(scheme)
+        # a kept base answers a failed matrix with its recovery solve alone
+        if driver.base is None or recovery == "none":
+            scheme = driver.scheme_for(t, ptm, atm, topo_t)
+        installed = scheme if driver.base is None else driver.base
         churn_tl.append(0 if prev_installed is None
                         else churn(prev_installed, installed))
         paths_tl.append(sum(len(d) for d in installed.values()))
         prev_installed = installed
 
-        if failed and kind.tag != "optimalmcf" and cfg.recovery != "none":
-            if cfg.recovery == "global" and topo_t is not None:
-                scheme = recover_global(t, kind, topo_t, ptm, cfg,
-                                        driver.solves)
-            else:
-                scheme = driver.timed(
-                    f"{kind.name} {cfg.recovery} recovery tm{t}",
-                    lambda: recover_local(installed, failed, kind, topo, ptm,
-                                          cfg.mw))
+        if recovery == "global":
+            scheme, installed = recover_global(t, kind, topo_t, ptm, cfg,
+                                               driver.solves)
+        elif recovery == "local":
+            scheme = driver.timed(
+                f"{kind.name} local recovery tm{t}",
+                lambda: recover_local(installed, failed, kind, topo, ptm,
+                                      cfg.mw))
 
         if cfg.flash_beta == 0:
             metrics = _propagate(topo, scheme, atm, dead)
@@ -354,21 +361,21 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
         step_scheme = scheme
         tm_steps: list[StepMetrics] = []
         for step in range(cfg.steps_per_tm):
+            demand = flash_burst(atm, cfg.flash_beta, step, sink)
             if (cfg.recovery != "none" and step > 0
                     and step % cfg.flash_recovery_period == 0):
                 if kind.tag == "optimalmcf":
-                    current = flash_burst(atm, cfg.flash_beta, step, sink)
                     step_scheme = driver.solve_conscious(
-                        topo_t or topo, current, f"{kind.name} flash solve")
+                        topo_t, demand,
+                        f"{kind.name} flash solve tm{t} step{step}")
                 elif kind.category != "oblivious":
                     lag = max(0, step - cfg.flash_lag)
                     observed = flash_burst(atm, cfg.flash_beta, lag, sink)
-                    live = _surviving(driver.reweight_source(scheme), dead)
+                    live = _surviving(installed, dead)
                     step_scheme = driver.timed(
                         f"{kind.name} flash reweight tm{t} step{step}",
                         lambda: algorithms.reweight(topo, live, observed,
                                                     cfg.mw))
-            demand = flash_burst(atm, cfg.flash_beta, step, sink)
             tm_steps.append(_propagate(topo, step_scheme, demand, dead))
         steps_out.append(tm_steps)
 

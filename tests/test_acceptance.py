@@ -133,6 +133,24 @@ def test_c05_failure_case_study(abilene):
            f"during the failure window ({details[0]})")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flash_burst_semi_oblivious_keeps_throughput(abilene, seed):
+    """The paper's burst claim: under a flash burst with re-balancing,
+    semi-oblivious routing over tree paths delivers at least as much as
+    the oblivious schemes it is compared with."""
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=seed), 1e9)
+    tm = tm.scaled(tekit.demand.scale_factor(abilene, tm, 2.0))
+    cfg = SimConfig(steps_per_tm=60, recovery="local", seed=seed, budget=3,
+                    flash_beta=3.0, flash_lag=4, flash_recovery_period=10)
+    tput = {algo: metrics_rollup(simulate(abilene, algo, [tm], [tm], cfg))
+            .throughput_fraction
+            for algo in ("ecmp", "raecke", "semimcfraecke")}
+    semi = tput.pop("semimcfraecke")
+    report("flash burst", all(semi >= other for other in tput.values()),
+           f"seed {seed}: semimcfraecke {semi:.3f}, "
+           + ", ".join(f"{a} {v:.3f}" for a, v in tput.items()))
+
+
 def test_c06_budget_saturation(abilene):
     state = GravityState.initial(abilene.hosts, seed=3)
     tms = []

@@ -177,15 +177,16 @@ def test_recover_global_spf_takes_detour():
     original = tekit.spf(topo)
     assert original[("h_a", "h_c")] == {("h_a", "a", "b", "c", "h_c"): 1.0}
     reduced = topo.without_links([("a", "b")])
-    out = recover_global(0, AlgorithmKind.parse("spf"), reduced, tm,
-                         SimConfig())
+    out, installed = recover_global(0, AlgorithmKind.parse("spf"), reduced,
+                                    tm, SimConfig())
     assert out[("h_a", "h_c")] == {("h_a", "a", "d", "c", "h_c"): 1.0}
+    assert installed is out
 
 
 def test_recover_global_without_failures_is_identity(abilene):
     tm = tm_of(abilene, {}, default=1.0)
-    out = recover_global(0, AlgorithmKind.parse("raecke"), abilene, tm,
-                         SimConfig(seed=5))
+    out, _ = recover_global(0, AlgorithmKind.parse("raecke"), abilene, tm,
+                            SimConfig(seed=5))
     from tekit.raecke import paths_from_distribution, raecke_distribution
     expected = paths_from_distribution(
         raecke_distribution(abilene, 5), abilene)
@@ -316,6 +317,62 @@ def test_flash_recovery_reweights(abilene):
     t_no = metrics_rollup(no_rec).throughput_fraction
     t_rec = metrics_rollup(with_rec).throughput_fraction
     assert t_rec >= t_no - 1e-9
+
+
+def test_flash_after_global_recovery_uses_recomputed_base(abilene,
+                                                          monkeypatch):
+    """A flash re-balance after global recovery routes only over the base
+    recomputed on the reduced topology, not the original base's
+    survivors."""
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=12), 6e9)
+    failed = (("s2", "s12"),)
+    cfg = SimConfig(steps_per_tm=2, recovery="global", flash_beta=3.0,
+                    flash_recovery_period=1, flash_lag=0, seed=2,
+                    explicit_failures=[failed])
+    kind = AlgorithmKind.parse("semimcfraecke")
+    recomputed = tekit.SchemeDriver(abilene.without_links(failed), kind,
+                                    [tm], cfg).base
+    from tekit.algorithms import reweight
+    routed = []
+
+    def recording_reweight(*args):
+        routed.append(reweight(*args))
+        return routed[-1]
+
+    monkeypatch.setattr("tekit.algorithms.reweight", recording_reweight)
+    simulate(abilene, kind, [tm], [tm], cfg)
+    # the last re-balance is step 1's flash re-balance
+    outside = [(pair, p) for pair, dist in routed[-1].items()
+               for p, w in dist.items() if w > 0 and p not in recomputed[pair]]
+    assert outside == []
+
+
+def test_optimalmcf_flash_solves_name_matrix_and_step(abilene):
+    tms = [gravity_tm(GravityState.initial(abilene.hosts, seed=s), 6e9)
+           for s in (1, 2)]
+    cfg = SimConfig(steps_per_tm=3, recovery="local", flash_beta=3.0,
+                    flash_recovery_period=1, flash_lag=0)
+    rep = simulate(abilene, "optimalmcf", tms, tms, cfg)
+    assert [s.label for s in rep.solves if "flash" in s.label] == [
+        f"optimalmcf flash solve tm{t} step{step}"
+        for t in (0, 1) for step in (1, 2)]
+
+
+def test_global_recovery_fallback_is_labelled_local(path8):
+    """A failure that disconnects the topology degrades global recovery to
+    local recovery, and the solve record says so."""
+    tm = tm_of(path8, {}, default=1.0)
+    cfg = SimConfig(steps_per_tm=1, phi=1, recovery="global")
+    rep = simulate(path8, "semimcfraecke", [tm], [tm], cfg)
+    assert [s.label for s in rep.solves] == [
+        "semimcfraecke base", "semimcfraecke local recovery tm0"]
+
+
+def test_build_config_rejects_zero_budget():
+    # so make_scheme("raecke", ..., cfg) never builds a tree distribution
+    # that prune_to_budget would reject
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        tekit.BuildConfig(budget=0)
 
 
 def test_rollup_conservation_fractions(abilene):
