@@ -18,6 +18,14 @@ failed link (or on pairs left with no path) is failure loss.  Loss is data,
 never an error: ``demand_total`` is defined as delivered + congestion loss
 + failure loss, so conservation holds bit-exactly at every step.
 
+Each installed scheme is flattened once into a ``PathTable`` (per matrix,
+and again after each flash re-balance), and each step is array work over
+it: ``_water_fill`` fills every link in lockstep.  Its order is the
+specification of the results: a link serves its requests by increasing
+request, ties broken by ``str`` of the live flow's index (flow 10 before
+flow 2), and every total is a left fold, a link's in service order and
+the step's in flow order.
+
 Latency is propagation-only (sum of latency weights along the path),
 recorded as a delivered-bits histogram.  The report carries the driver's
 solve records (``SimReport.solves``); their wall-clock times are kept out
@@ -26,6 +34,7 @@ of the canonical serialization so identical seeded runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -36,7 +45,7 @@ from . import algorithms
 from .baseline import spf
 from .demand import flash_burst, flash_sink
 from .mcf import MwConfig, evaluate_scheme
-from .model import (AlgorithmKind, Path, Scheme, Topology, TopologyError,
+from .model import (AlgorithmKind, Scheme, Topology, TopologyError,
                     TrafficMatrix, both_directions, churn, normalized,
                     path_edges)
 
@@ -128,23 +137,73 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
+def _water_fill(capacity: np.ndarray, req: np.ndarray,
+                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-min water-filling of many links in lockstep.
+
+    ``req`` holds each link's requests back to back, ``counts[j]`` >= 1 of
+    them for link j, each run in the order it is served; link j shares
+    ``capacity[j]``.  The request at position i of a run of n gets
+    min(request, remaining / (n - i)) and leaves that much less capacity;
+    a link's total is the left fold of its grants in that order.  Returns
+    (each request's grant, each link's total).
+    """
+    lanes = np.argsort(-counts, kind="stable")  # deepest links first
+    starts = (np.cumsum(counts) - counts)[lanes]
+    sizes = counts[lanes].tolist()
+    depth = counts[lanes].astype(float)
+    remaining = capacity[lanes]
+    total = np.zeros(len(lanes))
+    give = np.maximum(req, 0.0)
+    active = len(lanes)
+    for i in range(sizes[0]):
+        while sizes[active - 1] <= i:
+            active -= 1
+        at = starts[:active] + i  # position i of every link that long
+        grant = np.minimum(give[at], remaining[:active] / (depth[:active] - i))
+        give[at] = grant
+        remaining[:active] -= grant
+        total[:active] += grant
+    totals = np.empty(len(lanes))
+    totals[lanes] = total
+    return give, totals
+
+
+def _tie_rank(keys) -> np.ndarray:
+    """Each key's rank in ``str`` order (stable), the water-fill tie key."""
+    text = [str(k) for k in keys]
+    rank = np.empty(len(text), dtype=np.intp)
+    rank[sorted(range(len(text)), key=text.__getitem__)] = np.arange(len(text))
+    return rank
+
+
+@functools.lru_cache(maxsize=32)
+def _flow_rank(n: int) -> np.ndarray:
+    """``_tie_rank(range(n))``, read-only: the tie key of the live flows
+    0..n-1.  A run sees few distinct flow counts, one per installed table
+    unless demands drop to zero."""
+    rank = _tie_rank(range(n))
+    rank.setflags(write=False)
+    return rank
+
+
 def max_min_allocate(link_capacity: float,
                      requests: Mapping[object, float]) -> dict:
     """Water-filling: flows at or below the fair share keep their request;
     the residual capacity is re-divided among the rest.  The result is
-    max-min optimal and never exceeds the capacity."""
+    max-min optimal and never exceeds the capacity.  Requests are served
+    in (request, ``str(key)``) order; this is one link of the fluid step's
+    kernel."""
     if not link_capacity > 0:
         raise ValueError("capacity must be positive")
-    order = sorted(requests.items(), key=lambda kv: (kv[1], str(kv[0])))
-    alloc = {}
-    remaining = link_capacity
-    n = len(order)
-    for i, (key, req) in enumerate(order):
-        share = remaining / (n - i)
-        give = min(max(req, 0.0), share)
-        alloc[key] = give
-        remaining -= give
-    return alloc
+    keys = list(requests)
+    if not keys:
+        return {}
+    req = np.array([requests[k] for k in keys], dtype=float)
+    order = np.lexsort((_tie_rank(keys), req))
+    give, _ = _water_fill(np.array([link_capacity], dtype=float), req[order],
+                          np.array([len(keys)]))
+    return {keys[i]: g for i, g in zip(order.tolist(), give.tolist())}
 
 
 def failure_schedule(topo: Topology, phi: int, num_tms: int, seed: int,
@@ -235,51 +294,106 @@ def recover_global(t: int, kind: AlgorithmKind, topo_minus_failed: Topology,
     return scheme, scheme if driver.base is None else driver.base
 
 
-def _propagate(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
-               dead: frozenset) -> StepMetrics:
-    """One fluid step: route, allocate per link, account losses exactly."""
-    flows: list[tuple[Path, float]] = []  # live paths
-    delivered_total = 0.0
-    failure_total = 0.0
-    for pair in sorted(tm.pairs()):
-        demand = tm.get(*pair)
-        if demand == 0:
-            continue
-        dist = scheme.get(pair)
-        if not dist:
-            failure_total += demand
-            continue
-        for path, prob in sorted(dist.items()):
-            flow = demand * prob
-            if any(h in dead for h in path_edges(path)):
-                failure_total += flow
-            else:
-                flows.append((path, flow))
+class PathTable:
+    """One installed scheme under one failure set, flattened for the fluid
+    step; built when the scheme is installed, read by every step.
 
-    requests: dict[tuple[str, str], dict[int, float]] = {}
-    for idx, (path, flow) in enumerate(flows):
-        for hop in path_edges(path):
-            requests.setdefault(hop, {})[idx] = flow
-    alloc: dict[tuple[str, str], dict[int, float]] = {}
-    for hop, reqs in requests.items():
-        alloc[hop] = max_min_allocate(topo.edges[hop].capacity, reqs)
+    A row is one (pair, path) entry: pairs in sorted order over ``hosts``
+    (a matrix's sorted host list), paths sorted within a pair.  Each row
+    holds its pair's cell in the flattened ``tm.rates``, its probability,
+    whether it is dead (it crosses a dead edge) and its latency weight.  A
+    pair with no path is one dead row of probability 1.  The live rows'
+    hops are indices into ``topo.edges``, host stubs included, concatenated
+    in row order.
+    """
 
-    congestion_total = 0.0
-    latency: dict[float, float] = {}
-    for idx, (path, flow) in enumerate(flows):
-        got = min(alloc[hop][idx] for hop in path_edges(path))
-        delivered_total += got
-        congestion_total += flow - got
-        if got > 0:
-            lat = topo.path_weight(path)
-            latency[lat] = latency.get(lat, 0.0) + got
+    def __init__(self, topo: Topology, scheme: Scheme, hosts: Sequence[str],
+                 dead: frozenset):
+        self.hosts = tuple(hosts)
+        self.edge_keys = tuple(topo.edges)
+        self.capacity = np.array([e.capacity for e in topo.edges.values()],
+                                 dtype=float)
+        index = {k: i for i, k in enumerate(self.edge_keys)}
+        cell, prob, is_dead, weight, hop_count, hops = [], [], [], [], [], []
+        n = len(self.hosts)
+        for i, src in enumerate(self.hosts):
+            for j, dst in enumerate(self.hosts):
+                if i == j:
+                    continue
+                dist = scheme.get((src, dst))
+                for path, p in sorted(dist.items()) if dist else [((), 1.0)]:
+                    edges = path_edges(path)
+                    gone = not dist or any(h in dead for h in edges)
+                    cell.append(i * n + j)
+                    prob.append(p)
+                    is_dead.append(gone)
+                    weight.append(0.0 if gone else topo.path_weight(path))
+                    hop_count.append(0 if gone else len(edges))
+                    if not gone:
+                        hops.extend(index[h] for h in edges)
+        self.cell = np.array(cell, dtype=np.intp)
+        self.prob = np.array(prob, dtype=float)
+        self.weight = np.array(weight, dtype=float)
+        self.dead = np.array(is_dead, dtype=bool)
+        self.hop_count = np.array(hop_count, dtype=np.intp)
+        self.hops = np.array(hops, dtype=np.intp)
+        self.hop_row = np.repeat(np.arange(len(cell)), self.hop_count)
 
-    util = {k: 0.0 for k in topo.edges}
-    for hop, a in alloc.items():
-        util[hop] = sum(a.values()) / topo.edges[hop].capacity
+
+def _fold(values: np.ndarray) -> float:
+    """The left-to-right sum from 0.0 that a Python loop makes; ``np.sum``
+    adds pairwise, ``np.cumsum`` and ``np.bincount`` add in order."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _propagate(table: PathTable, tm: TrafficMatrix) -> StepMetrics:
+    """One fluid step: route, allocate per link, account losses exactly.
+
+    Every live flow (a live row with non-zero demand) requests demand *
+    probability on each of its hops.  Each link serves its requests in
+    (request, ``str(live flow index)``) order by ``_water_fill``; a flow
+    delivers its smallest grant.  The totals are left folds in flow order,
+    so the results do not depend on how numpy sums.
+    """
+    if tm.hosts != table.hosts:
+        raise ValueError("matrix hosts differ from the path table's")
+    demand = tm.rates.ravel()[table.cell]
+    rate = demand * table.prob
+    offered = demand != 0
+    live = offered & ~table.dead
+    rows = np.flatnonzero(live)
+    util = np.zeros(len(table.edge_keys))
+    got = np.empty(0)
+    if len(rows):
+        entries = np.flatnonzero(live[table.hop_row])
+        edge = table.hops[entries]
+        owner = table.hop_row[entries]
+        req = rate[owner]
+        index = (np.cumsum(live) - 1)[owner]  # live flow index
+        order = np.lexsort((_flow_rank(len(rows))[index], req, edge))
+        links, counts = np.unique(edge[order], return_counts=True)
+        cap = table.capacity[links]
+        give, total = _water_fill(cap, req[order], counts)
+        grant = np.empty(len(give))
+        grant[order] = give
+        first = np.cumsum(table.hop_count[rows]) - table.hop_count[rows]
+        got = np.minimum.reduceat(grant, first)
+        util[links] = total / cap
+
+    # latency samples: per latency weight, keys in first-seen flow order
+    carried = got > 0
+    lat, seen, key = np.unique(table.weight[rows[carried]], return_index=True,
+                               return_inverse=True)
+    bits = np.bincount(key, weights=got[carried], minlength=len(lat))
+    keep = np.argsort(seen)
+    latency = dict(zip(lat[keep].tolist(), bits[keep].tolist()))
+    delivered_total = _fold(got)
+    congestion_total = _fold(rate[rows] - got)
+    failure_total = _fold(rate[offered & table.dead])
     # demand_total is the sum of its parts, making conservation bit-exact
     demand_total = delivered_total + congestion_total + failure_total
-    return StepMetrics(util, delivered_total, congestion_total, failure_total,
+    return StepMetrics(dict(zip(table.edge_keys, util.tolist())),
+                       delivered_total, congestion_total, failure_total,
                        latency, demand_total)
 
 
@@ -352,31 +466,33 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                 lambda: recover_local(installed, failed, kind, topo, ptm,
                                       cfg.mw))
 
+        table = PathTable(topo, scheme, atm.hosts, dead)
         if cfg.flash_beta == 0:
-            metrics = _propagate(topo, scheme, atm, dead)
+            metrics = _propagate(table, atm)
             steps_out.append([metrics] * cfg.steps_per_tm)
             continue
 
         sink = flash_sink(atm, cfg.seed, t)
-        step_scheme = scheme
+        rebalance = cfg.recovery != "none" and kind.category != "oblivious"
+        live = _surviving(installed, dead) if rebalance else None
         tm_steps: list[StepMetrics] = []
         for step in range(cfg.steps_per_tm):
             demand = flash_burst(atm, cfg.flash_beta, step, sink)
-            if (cfg.recovery != "none" and step > 0
+            if (rebalance and step > 0
                     and step % cfg.flash_recovery_period == 0):
                 if kind.tag == "optimalmcf":
                     step_scheme = driver.solve_conscious(
                         topo_t, demand,
                         f"{kind.name} flash solve tm{t} step{step}")
-                elif kind.category != "oblivious":
+                else:
                     lag = max(0, step - cfg.flash_lag)
                     observed = flash_burst(atm, cfg.flash_beta, lag, sink)
-                    live = _surviving(installed, dead)
                     step_scheme = driver.timed(
                         f"{kind.name} flash reweight tm{t} step{step}",
                         lambda: algorithms.reweight(topo, live, observed,
                                                     cfg.mw))
-            tm_steps.append(_propagate(topo, step_scheme, demand, dead))
+                table = PathTable(topo, step_scheme, atm.hosts, dead)
+            tm_steps.append(_propagate(table, demand))
         steps_out.append(tm_steps)
 
     return SimReport(kind.name, topo.name, num_tms, cfg.steps_per_tm,

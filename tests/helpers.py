@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own routing machinery:
 shortest paths come from exhaustive simple-path enumeration, and the
 min-max-congestion reference solves the full path-based LP with scipy's
-simplex-free HiGHS backend.
+simplex-free HiGHS backend.  ``reference_propagate`` is the fluid step
+written with per-link dicts, the specification the array step reproduces.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tekit import graphops
+from tekit.model import path_edges
+from tekit.sim import StepMetrics
 
 
 def enumerate_simple_paths(adj, source, target):
@@ -113,3 +116,69 @@ def random_commodities(topo, rng, count):
     picks = rng.choice(len(pairs), size=count, replace=False)
     return [(pairs[i][0], pairs[i][1], float(rng.uniform(1.0, 20.0)))
             for i in picks]
+
+
+def reference_water_fill(link_capacity, requests):
+    """One link's max-min water-filling over a dict of requests: served in
+    (request, str(key)) order, each gets min(request, fair share of what
+    is left)."""
+    order = sorted(requests.items(), key=lambda kv: (kv[1], str(kv[0])))
+    alloc = {}
+    remaining = link_capacity
+    n = len(order)
+    for i, (key, req) in enumerate(order):
+        share = remaining / (n - i)
+        give = min(max(req, 0.0), share)
+        alloc[key] = give
+        remaining -= give
+    return alloc
+
+
+def reference_propagate(topo, scheme, tm, dead):
+    """One fluid step, one dict water-fill per link: the live flows in
+    pair and path order, keyed by their index in that order."""
+    flows = []  # live paths
+    delivered_total = 0.0
+    failure_total = 0.0
+    for pair in sorted(tm.pairs()):
+        demand = tm.get(*pair)
+        if demand == 0:
+            continue
+        dist = scheme.get(pair)
+        if not dist:
+            failure_total += demand
+            continue
+        for path, prob in sorted(dist.items()):
+            flow = demand * prob
+            if any(h in dead for h in path_edges(path)):
+                failure_total += flow
+            else:
+                flows.append((path, flow))
+
+    requests = {}
+    for idx, (path, flow) in enumerate(flows):
+        for hop in path_edges(path):
+            requests.setdefault(hop, {})[idx] = flow
+    alloc = {}
+    for hop, reqs in requests.items():
+        alloc[hop] = reference_water_fill(topo.edges[hop].capacity, reqs)
+
+    congestion_total = 0.0
+    latency = {}
+    for idx, (path, flow) in enumerate(flows):
+        got = min(alloc[hop][idx] for hop in path_edges(path))
+        delivered_total += got
+        congestion_total += flow - got
+        if got > 0:
+            lat = topo.path_weight(path)
+            latency[lat] = latency.get(lat, 0.0) + got
+
+    util = {k: 0.0 for k in topo.edges}
+    for hop, a in alloc.items():
+        total = 0.0  # a left fold; the built-in sum compensates from 3.12 on
+        for give in a.values():
+            total += give
+        util[hop] = total / topo.edges[hop].capacity
+    demand_total = delivered_total + congestion_total + failure_total
+    return StepMetrics(util, delivered_total, congestion_total, failure_total,
+                       latency, demand_total)

@@ -6,14 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tekit
+import tekit.sim as sim
 from tekit import (AlgorithmKind, SimConfig, failure_schedule, max_min_allocate,
                    metrics_rollup, recover_global, recover_local, simulate)
 from tekit.algorithms import limit_events
 from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.mcf import MwConfig
-from tekit.sim import InfeasibleFailureError, report_to_csv
+from tekit.model import both_directions
+from tekit.sim import InfeasibleFailureError, PathTable, report_to_csv
 
-from conftest import build_topology, tm_of
+from conftest import TIED_LENGTHS, build_topology, tm_of
+from helpers import (enumerate_simple_paths, reference_propagate,
+                     reference_water_fill)
 
 
 # -- max-min fair allocation -----------------------------------------------
@@ -81,6 +85,108 @@ def test_water_filling_properties(cap, reqs):
 def test_water_filling_rejects_nonpositive_capacity(cap, reqs):
     with pytest.raises(ValueError, match="capacity must be positive"):
         max_min_allocate(cap, reqs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cap=st.floats(min_value=1e-9, max_value=1e9),
+       reqs=st.dictionaries(st.integers(0, 30), TIED_LENGTHS, max_size=24)
+       | _requests)
+def test_water_filling_matches_dict_reference(cap, reqs):
+    """The one-link kernel serves requests as the dict water-fill does,
+    tie order, grants and dict order included."""
+    assert repr(max_min_allocate(cap, reqs)) == repr(
+        reference_water_fill(cap, reqs))
+
+
+# -- the array fluid step ------------------------------------------------------
+
+#: small capacities saturate links; most fair shares of them do not
+#: divide exactly, so tied requests get grants a last bit apart
+_CAPACITIES = st.sampled_from([0.7, 1.0, 2.0, 3.3, 5.0])
+_WEIGHTS = st.sampled_from([0.1, 0.25, 1.0, 1.7, 3.0, 8.5])
+
+
+@st.composite
+def _fluid_steps(draw):
+    """A random topology, scheme, failure set and matrix: missing pairs,
+    empty distributions, zero demands, dead links, and host stubs that
+    carry up to 15 tied flows."""
+    n = draw(st.integers(2, 6) | st.just(6))
+    names = [f"n{i}" for i in range(n)]
+    links = {(names[draw(st.integers(0, i - 1))], names[i])
+             for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=4)):
+        if a != b:
+            links.add(tuple(sorted((names[a], names[b]))))
+    # latency weights mostly tell paths apart, so the latency samples show
+    # which flow got which grant
+    topo = build_topology("prop", [(a, b, draw(_CAPACITIES))
+                                   for a, b in sorted(links)],
+                          stub_cap=draw(_CAPACITIES),
+                          weights={lk: draw(_WEIGHTS) for lk in links})
+    adj = {s: topo.switch_adj(s) for s in topo.switches}
+    scheme = {}
+    for src in topo.hosts:
+        for dst in topo.hosts:
+            if src == dst:
+                continue
+            shape = draw(st.sampled_from(["paths"] * 8 + ["missing", "empty"]))
+            if shape == "missing":
+                continue
+            if shape == "empty":
+                scheme[(src, dst)] = {}
+                continue
+            found = enumerate_simple_paths(adj, topo.host_switch(src),
+                                           topo.host_switch(dst))
+            picks = draw(st.lists(st.sampled_from(range(len(found))),
+                                  unique=True, min_size=1, max_size=3))
+            tied = draw(st.booleans())
+            weights = [1.0 if tied else draw(st.floats(0.01, 1.0))
+                       for _ in picks]
+            scheme[(src, dst)] = {
+                (src,) + found[i] + (dst,): w / sum(weights)
+                for i, w in zip(picks, weights)}
+    dead = both_directions(draw(st.lists(st.sampled_from(topo.links()),
+                                         unique=True, max_size=2)))
+    demand = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]) | st.floats(0.0, 10.0)
+    tm = tm_of(topo, {(s, d): draw(demand) for s in topo.hosts
+                      for d in topo.hosts if s != d})
+    return topo, scheme, dead, tm
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_fluid_steps())
+def test_propagate_matches_dict_reference(case):
+    """The array step equals the per-link dict step field by field: the
+    same floats, the same reprs, the same dict order."""
+    topo, scheme, dead, tm = case
+    got = sim._propagate(PathTable(topo, scheme, tm.hosts, dead), tm)
+    want = reference_propagate(topo, scheme, tm, dead)
+    assert repr(got) == repr(want)
+    assert list(got.per_edge_congestion) == list(want.per_edge_congestion)
+    assert list(got.latency_samples) == list(want.latency_samples)
+    for value in (got.delivered, got.congestion_loss, got.failure_loss,
+                  got.demand_total, *got.per_edge_congestion.values(),
+                  *got.latency_samples, *got.latency_samples.values()):
+        assert type(value) is float
+
+
+def test_propagate_ties_by_flow_index_text():
+    """Flow 10 is served before flow 2: on a saturated stub carrying 12
+    equal requests the grants follow str order, as the dict step's do."""
+    spokes = "bcdefghijklm"
+    topo = build_topology("star", [("a", b) for b in spokes],
+                          hosts_on=["a", *spokes], stub_cap=1.0,
+                          weights={("a", b): 1.0 + i
+                                   for i, b in enumerate(spokes)})
+    scheme = tekit.spf(topo)
+    tm = tm_of(topo, {("h_a", f"h_{b}"): 1.0 for b in spokes})
+    got = sim._propagate(PathTable(topo, scheme, tm.hosts, frozenset()), tm)
+    want = reference_propagate(topo, scheme, tm, frozenset())
+    # each flow has its own latency, so the samples show who got which grant
+    assert len(set(want.latency_samples.values())) > 1
+    assert repr(got) == repr(want)
 
 
 # -- failure schedules ---------------------------------------------------------
@@ -317,6 +423,39 @@ def test_flash_recovery_reweights(abilene):
     t_no = metrics_rollup(no_rec).throughput_fraction
     t_rec = metrics_rollup(with_rec).throughput_fraction
     assert t_rec >= t_no - 1e-9
+
+
+def test_path_table_built_once_per_installed_scheme(abilene, monkeypatch):
+    """N flash steps run N fluid steps per matrix.  The path table is built
+    once per matrix for an oblivious kind, and again after each of a
+    semi-oblivious kind's re-balances, never per step."""
+    builds, steps = [], []
+    propagate = sim._propagate
+
+    class CountingTable(PathTable):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    def counting_propagate(table, tm):
+        steps.append(table)
+        return propagate(table, tm)
+
+    monkeypatch.setattr(sim, "PathTable", CountingTable)
+    monkeypatch.setattr(sim, "_propagate", counting_propagate)
+    state = GravityState.initial(abilene.hosts, seed=4)
+    tms = [gravity_tm(state, 6e9), gravity_tm(mh_step(state), 6e9)]
+    n, period = 23, 10
+    cfg = SimConfig(steps_per_tm=n, seed=1, budget=3, recovery="local",
+                    flash_beta=3.0, flash_lag=4, flash_recovery_period=period)
+    for algo, per_tm in (("ecmp", 1),
+                         ("semimcfraecke", 1 + (n - 1) // period)):
+        builds.clear()
+        steps.clear()
+        simulate(abilene, algo, tms, tms, cfg)
+        assert len(steps) == n * len(tms), algo
+        assert len(builds) == per_tm * len(tms), algo
+        assert len({id(table) for table in steps}) == len(builds), algo
 
 
 def test_flash_after_global_recovery_uses_recomputed_base(abilene,
