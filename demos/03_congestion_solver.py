@@ -9,8 +9,8 @@ base growing extra paths.
 
 import numpy as np
 
-from tekit import (MwConfig, load_bundled_topology, mcf_mw, prune_to_budget,
-                   semi_mcf, semi_mcf_env, semi_mcf_ft_env)
+from tekit import (MwConfig, demand_envelope, load_bundled_topology, mcf_mw,
+                   prune_to_budget, semi_mcf, semi_mcf_ft_env)
 from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.model import TrafficMatrix
 from tekit.raecke import paths_from_distribution, raecke_distribution
@@ -37,13 +37,15 @@ print(f"\nbackbone: unrestricted optimum {opt.max_congestion:.4f}, "
       f"fixed-path re-balance {fixed.max_congestion:.4f} "
       f"(ratio {fixed.max_congestion / opt.max_congestion:.3f})")
 
-# Envelope bases: the failure-tolerant variant unions per-failure solutions,
-# so pairs pick up extra paths to route around any single broken link.
+# Envelope bases: the envelope base is the unrestricted solution of the
+# window's element-wise maximum; the failure-tolerant variant unions such
+# solutions over every single-link failure, so pairs pick up extra paths to
+# route around any single broken link.
 window = []
 for _ in range(5):
     window.append(gravity_tm(state, 1e9))
     state = mh_step(state)
-env = semi_mcf_env(topo, window)
+env = mcf_mw(topo, demand_envelope(window)).scheme
 ft = semi_mcf_ft_env(topo, window)
 mean_env = np.mean([len(d) for d in env.values()])
 mean_ft = np.mean([len(d) for d in ft.values()])

@@ -14,10 +14,9 @@ from .demand import (GravityState, NoEligibleSinkError, ZeroDemandError,
 from .fileio import (ParseError, bundled_topology_names, load_bundled_topology,
                      load_topology, parse_topology, read_tm_sequence,
                      write_tm_sequence)
-from .mcf import (DisconnectedScenarioError, EmptyWindowError, FlowSolution,
-                  MissingPathsError, MwConfig, PhaseLimitError, demand_envelope,
-                  evaluate_scheme, mcf_mw, semi_mcf, semi_mcf_env,
-                  semi_mcf_ft_env)
+from .mcf import (EmptyWindowError, FlowSolution, MissingPathsError, MwConfig,
+                  PhaseLimitError, demand_envelope, evaluate_scheme, mcf_mw,
+                  semi_mcf, semi_mcf_ft_env)
 from .model import (AlgorithmKind, Edge, Path, Scheme, Topology, TopologyError,
                     TrafficMatrix, UnreachablePair, churn, prune_to_budget,
                     validate_scheme)

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import baseline, raecke
-from .mcf import (MwConfig, PhaseLimitError, mcf_mw, semi_mcf, semi_mcf_env,
-                  semi_mcf_ft_env)
+from .mcf import (MwConfig, PhaseLimitError, demand_envelope, mcf_mw,
+                  semi_mcf, semi_mcf_ft_env)
 from .model import (OBLIVIOUS_TAGS, AlgorithmKind, Scheme, Topology,
                     TrafficMatrix, prune_to_budget)
 
@@ -118,8 +118,9 @@ class SchemeDriver:
             tms = list(predicted_tms)
             builder = {
                 "mcf": lambda: mcf_mw(topo, tms[0], cfg.mw).scheme,
-                "mcfenv": lambda: semi_mcf_env(topo, tms, cfg.mw),
-                "mcfftenv": lambda: semi_mcf_ft_env(topo, tms, None, cfg.mw),
+                "mcfenv": lambda: mcf_mw(topo, demand_envelope(tms),
+                                         cfg.mw).scheme,
+                "mcfftenv": lambda: semi_mcf_ft_env(topo, tms, cfg.mw),
             }[kind.base]
         else:  # conscious kinds (mcf, optimalmcf) build per matrix
             return

@@ -19,7 +19,8 @@ deterministic for a fixed seed; wall-clock timings are only written with
 --timings.  --verbose sends the ``tekit`` loggers' records (Raecke
 iterations, solver phase-limit notes) to stderr.  Flags that set a config
 field take their default and bounds from that config.  Exit codes: 0
-success, 2 bad input (also a --fail-num the topology cannot lose), 3 an
+success, 2 bad input (also a --fail-num the topology cannot lose, a
+repeated algorithm or an output path that cannot be written), 3 an
 internal solver limit was hit and --strict was given.
 
 Environment overrides: TEKIT_OUT_DIR (base output directory),
@@ -36,6 +37,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path as FsPath
 
 from . import demand, fileio, sim
@@ -105,7 +107,8 @@ def _parse_args(argv):
     run.add_argument("--tms", required=True, help="actual traffic matrix file")
     run.add_argument("--pred", required=True, help="predicted traffic matrix file")
     run.add_argument("--algos", required=True,
-                     help="comma-separated algorithm names")
+                     help="comma-separated algorithm names, each at most "
+                          "once; output files use the lower-case name")
     run.add_argument("--scale", type=float, default=None, help=scale_help)
     run.add_argument("--recovery", choices=sim.RECOVERY_MODES,
                      default=SimConfig.recovery)
@@ -156,6 +159,22 @@ def _load_inputs(args):
     return topo, actual, predicted
 
 
+@contextmanager
+def _output_to(path: FsPath):
+    """An OSError while making or writing the output at ``path`` is an
+    InputError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(
+            f"cannot write output to {path}: {exc}") from exc
+
+
+def _write(path: FsPath, text: str) -> None:
+    with _output_to(path):
+        path.write_text(text)
+
+
 def _check_scale(scale: float | None) -> None:
     if scale is not None and not (math.isfinite(scale) and scale > 0):
         raise InputError(f"--scale must be finite and > 0, got {scale!r}")
@@ -197,14 +216,17 @@ def _run_one(topo, name, actual, predicted, cfg):
 
 
 def cmd_run(args) -> int:
-    names = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if not names:
-        raise InputError("no algorithms given")
-    for name in names:
+    names = []
+    for token in filter(str.strip, args.algos.split(",")):
         try:
-            AlgorithmKind.parse(name)
+            name = AlgorithmKind.parse(token).name
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if name in names:
+            raise InputError(f"algorithm {name!r} is given more than once")
+        names.append(name)
+    if not names:
+        raise InputError("no algorithms given")
     _check_scale(args.scale)
     cfg = _sim_config(args)
     workers = _workers(len(names))
@@ -224,21 +246,31 @@ def cmd_run(args) -> int:
         actual = [tm.scaled(factor) for tm in actual]
         predicted = [tm.scaled(factor) for tm in predicted]
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_log_to_stderr,
-                                 initargs=(args.verbose,)) as pool:
-            futures = [pool.submit(_run_one, topo, n, actual, predicted, cfg)
-                       for n in names]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one(topo, n, actual, predicted, cfg) for n in names]
-
     base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
     run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
                f"_phi{args.phi}_b{args.budget or 0}_seed{args.seed}")
     out_dir = FsPath(base_out) / run_tag
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # made before the simulations, so that an unwritable path fails fast;
+    # removed again if the simulations reject the input
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    with _output_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_log_to_stderr,
+                                     initargs=(args.verbose,)) as pool:
+                futures = [pool.submit(_run_one, topo, n, actual, predicted,
+                                       cfg) for n in names]
+                results = [f.result() for f in futures]
+        else:
+            results = [_run_one(topo, n, actual, predicted, cfg)
+                       for n in names]
+    except InputError:
+        for path in made:
+            path.rmdir()
+        raise
 
     lines = [",".join(("algorithm",) + sim.RUN_METRICS)]
     for name, report in results:
@@ -246,7 +278,7 @@ def cmd_run(args) -> int:
         events = limit_events(report.solves)
         metrics = {key: getattr(summary, key) for key in sim.RUN_METRICS}
         lines.append(",".join([name] + [repr(v) for v in metrics.values()]))
-        (out_dir / f"{name}.csv").write_text(sim.report_to_csv(summary))
+        _write(out_dir / f"{name}.csv", sim.report_to_csv(summary))
         blob = {
             "algorithm": name,
             "topology": topo.name,
@@ -259,13 +291,13 @@ def cmd_run(args) -> int:
         if args.timings:
             blob["solver_times"] = [(s.label, s.seconds) for s in report.solves]
             blob["solver_time_total"] = sum(s.seconds for s in report.solves)
-        (out_dir / f"{name}.summary.json").write_text(
-            json.dumps(blob, indent=2, sort_keys=True) + "\n")
+        _write(out_dir / f"{name}.summary.json",
+               json.dumps(blob, indent=2, sort_keys=True) + "\n")
         for ev in events:
             hit_limit = True
             _log.info("note: %s", ev)
 
-    (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "comparison.csv", "\n".join(lines) + "\n")
 
     if args.verbose:
         print(f"wrote {len(names)} run(s) to {out_dir}")
@@ -290,21 +322,22 @@ def cmd_gen_demands(args) -> int:
     except ValueError as exc:  # e.g. a gravity model over one host
         raise InputError(str(exc)) from exc
     prefix = FsPath(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    fileio.write_tm_sequence(f"{prefix}.actual.tms", actual)
-    fileio.write_tm_sequence(f"{prefix}.predicted.tms", predicted)
-    fileio.write_metadata(f"{prefix}.meta.json", {
-        "topology": topo.name,
-        "hosts": list(topo.hosts),
-        "num_tms": args.num_tms,
-        "seed": args.seed,
-        "scale": args.scale,
-        "prediction_error": args.epsilon,
-        "diurnal": args.diurnal,
-        "diurnal_note": "weekly template is a fixed synthetic stand-in",
-        "pareto_shape": demand.PARETO_SHAPE,
-        "pareto_scale": demand.PARETO_SCALE,
-    })
+    with _output_to(prefix):
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        fileio.write_tm_sequence(f"{prefix}.actual.tms", actual)
+        fileio.write_tm_sequence(f"{prefix}.predicted.tms", predicted)
+        fileio.write_metadata(f"{prefix}.meta.json", {
+            "topology": topo.name,
+            "hosts": list(topo.hosts),
+            "num_tms": args.num_tms,
+            "seed": args.seed,
+            "scale": args.scale,
+            "prediction_error": args.epsilon,
+            "diurnal": args.diurnal,
+            "diurnal_note": "weekly template is a fixed synthetic stand-in",
+            "pareto_shape": demand.PARETO_SHAPE,
+            "pareto_scale": demand.PARETO_SCALE,
+        })
     return 0
 
 

@@ -11,13 +11,18 @@ stops exactly when the averaged flow is within the requested factor of the
 bound.  The returned solution therefore carries a certified optimality gap
 rather than a heuristic one.
 
-Both solvers share one array-based core.  It owns a *path pool*: every
+Both solvers are one pipeline: they turn the matrix into commodities
+(the pairs with positive demand, each divided by their total), run the
+shared array-based core, and hand its shares to one finisher that evaluates
+the scheme exactly and raises PhaseLimitError, with the solution attached,
+if the gap was not certified.  The core owns a *path pool*: every
 candidate path as flat switch-edge indices with per-path offsets and the
 commodity it serves.  An iteration asks an *oracle* for one pool index per
 commodity, adds one to that path's entry of an integer count vector, and
 accumulates edge load with ``np.bincount``; the best averaged iterate is a
-copy of the count vector.  The two oracles differ only in where paths come
-from:
+copy of the count vector, and its path shares per commodity, together with
+the lower bound in demand units, are the core's result.  The two oracles
+differ only in where paths come from:
 
 * ``mcf_mw`` runs a Dijkstra per source switch over the whole switch graph
   and appends each path it has not returned before to the pool (column
@@ -27,24 +32,27 @@ from:
   minimum (``np.minimum.reduceat``), which is how fixed-path schemes get
   their sending rates re-balanced as demands evolve.
 
-Floating-point results do not depend on the array layout: load is summed
-per edge in commodity order, the lower bound is a sequential sum in
-commodity order, and each pair's output distribution lists its paths in
-the order they were first chosen before it is normalized.
+Floating-point results depend on a few orders, and each is fixed.  Switch
+edges are indexed in sorted order (not ``topo.edges`` order): the edge
+lengths, loads and the maximum utilization are computed over that index,
+so changing it changes iteration counts.  Load is summed per edge in
+commodity order, the lower bound is a sequential sum in commodity order,
+and each pair's output distribution lists its paths in the order they were
+first chosen before it is normalized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import graphops
 from .baseline import spf
 from .model import (Path, Scheme, Topology, TopologyError, TrafficMatrix,
-                    attach_stubs, link_key, normalized, path_edges)
+                    attach_stubs, normalized, path_edges)
 
 
 class PhaseLimitError(RuntimeError):
@@ -68,14 +76,6 @@ class MissingPathsError(ValueError):
 
 class EmptyWindowError(ValueError):
     """Demand envelope of an empty sequence."""
-
-
-class DisconnectedScenarioError(ValueError):
-    """Removing a candidate failure link would partition the network."""
-
-    def __init__(self, link: tuple[str, str]):
-        super().__init__(f"removing link {link} disconnects the topology")
-        self.link = link
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,18 @@ def evaluate_scheme(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
     return max_c, util
 
 
-def _solution(topo, scheme, tm, iterations=0, lower_bound=0.0
-              ) -> FlowSolution:
+def _finish(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
+            cfg: MwConfig, iterations: int = 0, lower_bound: float = 0.0,
+            converged: bool = True) -> FlowSolution:
+    """The scheme evaluated exactly under ``tm``, or PhaseLimitError
+    carrying that solution if the loop stopped before certifying the gap."""
     max_c, util = evaluate_scheme(topo, scheme, tm)
-    return FlowSolution(scheme, max_c, util, iterations, lower_bound)
+    sol = FlowSolution(scheme, max_c, util, iterations, lower_bound)
+    if not converged:
+        raise PhaseLimitError(
+            f"no certificate after {cfg.max_phases} phases "
+            f"(ub={max_c:.4g})", sol)
+    return sol
 
 
 #: Multiplicative-weights learning rate.  Decoupled from the certified
@@ -137,7 +145,7 @@ class _PathPool:
 
     Path ``i`` serves commodity ``owner[i]`` and crosses the switch edges
     ``hops[start[i]:start[i] + size[i]]`` (positions in the solver's sorted
-    switch-edge list).  Paths are appended, never removed.
+    switch-edge index).  Paths are appended, never removed.
     """
 
     def __init__(self):
@@ -173,17 +181,27 @@ class _PathPool:
                                                     n)], n
 
 
-def _mw_core(cap: np.ndarray, demand: np.ndarray, pool: _PathPool, oracle,
-             cfg: MwConfig):
+def _switch_edges(topo: Topology
+                  ) -> tuple[dict[tuple[str, str], int], np.ndarray]:
+    """Each switch edge's position in sorted order, and the capacities in
+    that order."""
+    edges = sorted(topo.switch_edges)
+    return ({e: i for i, e in enumerate(edges)},
+            np.array([topo.edges[e].capacity for e in edges]))
+
+
+def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
+             pool: _PathPool, oracle, cfg: MwConfig
+             ) -> tuple[list[dict[Path, float]], int, float, bool]:
     """Shared multiplicative-weights loop over a path pool.
 
-    ``cap`` holds the switch-edge capacities, ``demand`` the normalized
-    demand per commodity.  ``oracle`` maps the current edge lengths to
-    (pool index of each commodity's shortest path, its length), both in
-    commodity order; it may append new paths to ``pool`` first.  Returns
-    (path counts of the best averaged iterate, iteration in which each path
-    was first chosen, that iterate's number, the certified normalized lower
-    bound, iterations run, converged).
+    ``cap`` holds the switch-edge capacities, ``demand`` the demand per
+    commodity divided by their total ``d_ref``.  ``oracle`` maps the current
+    edge lengths to (pool index of each commodity's shortest path, its
+    length), both in commodity order; it may append new paths to ``pool``
+    first.  Returns each commodity's path shares in the best averaged
+    iterate, the iterations run, the certified lower bound in demand units,
+    and whether the gap was certified.
     """
     m = len(cap)
     chat = cap / cap.max()
@@ -213,43 +231,20 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, pool: _PathPool, oracle,
         if ub < best_ub:
             best_ub, best_counts, best_t = ub, counts.copy(), t
         if best_ub <= grow * best_lb:
-            return best_counts, first, best_t, best_lb, t, True
+            break
         w = w * np.exp(np.minimum(load / chat, 1000.0) * log_eta)
         w /= w.sum()
-    return best_counts, first, best_t, best_lb, cfg.max_phases, False
 
-
-def _distributions(pool: _PathPool, counts: np.ndarray, first: np.ndarray,
-                   denom: int, num_commodities: int) -> list[dict[Path, float]]:
-    """Per commodity, its paths' shares of the best iterate.
-
-    Paths are listed in the order they were first chosen, so ``normalized``
-    sums the shares in a fixed order.
-    """
-    used = np.flatnonzero(counts)
+    # each commodity lists its paths in the order they were first chosen,
+    # so ``normalized`` sums the shares in a fixed order
+    used = np.flatnonzero(best_counts)
     owner = np.asarray(pool.owner)[used]
     order = used[np.lexsort((first[used], owner))]
-    dists: list[dict[Path, float]] = [{} for _ in range(num_commodities)]
-    for i, c in zip(order.tolist(), counts[order].tolist()):
-        dists[pool.owner[i]][pool.paths[i]] = c / denom
-    return [normalized(dist) for dist in dists]
-
-
-def _certified(topo, scheme, tm, iterations, lower_bound, converged,
-               cfg: MwConfig) -> FlowSolution:
-    """The solution, or PhaseLimitError carrying it if the loop stopped
-    before certifying the gap."""
-    sol = _solution(topo, scheme, tm, iterations, lower_bound)
-    if not converged:
-        raise PhaseLimitError(
-            f"no certificate after {cfg.max_phases} phases "
-            f"(ub={sol.max_congestion:.4g})", sol)
-    return sol
-
-
-def _switch_edges(topo: Topology) -> tuple[list[tuple[str, str]], np.ndarray]:
-    edges = sorted(topo.switch_edges)
-    return edges, np.array([topo.edges[e].capacity for e in edges])
+    shares: list[dict[Path, float]] = [{} for _ in demand]
+    for i, c in zip(order.tolist(), best_counts[order].tolist()):
+        shares[pool.owner[i]][pool.paths[i]] = c / best_t
+    return ([normalized(dist) for dist in shares], t,
+            best_lb * d_ref / float(cap.max()), best_ub <= grow * best_lb)
 
 
 def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
@@ -279,14 +274,13 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
                 demands[(s_sw, d_sw)] = demands.get((s_sw, d_sw), 0.0) + d
 
     if not demands:
-        return _solution(topo, scheme, tm)
+        return _finish(topo, scheme, tm, cfg)
 
     d_ref = sum(demands.values())
     keys = sorted(demands)
     commodity = {key: j for j, key in enumerate(keys)}
     demand = np.array([demands[key] / d_ref for key in keys])
-    switch_edges, cap = _switch_edges(topo)
-    edge_index = {e: i for i, e in enumerate(switch_edges)}
+    edge_index, cap = _switch_edges(topo)
     adj = graphops.switch_graph(topo)
     # sources and their targets in sorted order visit the commodities in
     # commodity order
@@ -296,7 +290,7 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
     known: dict[Path, int] = {}
 
     def oracle(lengths):
-        lmap = dict(zip(switch_edges, lengths.tolist()))
+        lmap = dict(zip(edge_index, lengths.tolist()))
         chosen, dists = [], []
         for s in sources:
             dist, best = graphops.dijkstra(adj, lmap, s)
@@ -311,15 +305,11 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
                 dists.append(dist[d])
         return np.array(chosen, dtype=np.intp), np.array(dists)
 
-    counts, first, denom, lb, iters, converged = _mw_core(
-        cap, demand, pool, oracle, cfg)
-
-    dists = _distributions(pool, counts, first, denom, len(keys))
+    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg)
     for pair, sw_key in pair_sw.items():
-        scheme[pair] = normalized({attach_stubs(*pair, p): v
-                                   for p, v in dists[commodity[sw_key]].items()})
-    return _certified(topo, scheme, tm, iters,
-                      lb * d_ref / float(cap.max()), converged, cfg)
+        scheme[pair] = normalized({attach_stubs(*pair, p): v for p, v
+                                   in shares[commodity[sw_key]].items()})
+    return _finish(topo, scheme, tm, cfg, *certificate)
 
 
 def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
@@ -347,13 +337,12 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     if missing:
         raise MissingPathsError(missing)
     if d_ref == 0:
-        return _solution(topo, scheme, tm)
+        return _finish(topo, scheme, tm, cfg)
 
     # Strip host stubs for length computation: stubs are shared by all of a
     # pair's paths, so they never affect the choice.  Path lengths for every
     # candidate are computed in one (paths x edges) matrix product.
-    switch_edges, cap = _switch_edges(topo)
-    edge_index = {e: i for i, e in enumerate(switch_edges)}
+    edge_index, cap = _switch_edges(topo)
     pairs = sorted(pair for pair in base if tm.get(*pair) > 0)
     demand = np.array([tm.get(*pair) / d_ref for pair in pairs])
     pool = _PathPool()
@@ -364,8 +353,8 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     hops, _, size = pool.flat()
     if hops.size == 0:  # no commodity crosses a switch link
         scheme.update((pair, normalized(base[pair])) for pair in pairs)
-        return _solution(topo, scheme, tm)
-    incidence = np.zeros((len(pool), len(switch_edges)))
+        return _finish(topo, scheme, tm, cfg)
+    incidence = np.zeros((len(pool), len(cap)))
     incidence[np.repeat(np.arange(len(pool)), size), hops] = 1.0
     group_size = np.bincount(pool.owner)
     starts = np.cumsum(group_size) - group_size
@@ -380,13 +369,9 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
                                      starts)
         return chosen, plens[chosen]
 
-    counts, first, denom, lb, iters, converged = _mw_core(
-        cap, demand, pool, oracle, cfg)
-
-    scheme.update(zip(pairs, _distributions(pool, counts, first, denom,
-                                            len(pairs))))
-    return _certified(topo, scheme, tm, iters,
-                      lb * d_ref / float(cap.max()), converged, cfg)
+    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg)
+    scheme.update(zip(pairs, shares))
+    return _finish(topo, scheme, tm, cfg, *certificate)
 
 
 def demand_envelope(tms: Sequence[TrafficMatrix]) -> TrafficMatrix:
@@ -402,61 +387,40 @@ def demand_envelope(tms: Sequence[TrafficMatrix]) -> TrafficMatrix:
     return TrafficMatrix(hosts, rates)
 
 
-def semi_mcf_env(topo: Topology, window: Sequence[TrafficMatrix],
-                 cfg: MwConfig = MwConfig()) -> Scheme:
-    """Base paths from solving the demand envelope of a window.
-
-    The returned scheme's weights are the envelope solution's weights; they
-    are meant to be re-solved per traffic matrix with semi_mcf at run time.
-    """
-    return mcf_mw(topo, demand_envelope(window), cfg).scheme
-
-
 def semi_mcf_ft_env(topo: Topology, window: Sequence[TrafficMatrix],
-                    failure_set: Iterable[tuple[str, str]] | None = None,
                     cfg: MwConfig = MwConfig()) -> Scheme:
     """Failure-tolerant base paths: union of envelope solutions across
     single-link failure scenarios (plus the intact topology), with uniform
     initial weights over each pair's union set.
 
-    By default every switch link is a scenario except the bridges, whose
-    failure disconnects the network and so leaves no routing to union.  A
-    bridge in an explicit ``failure_set`` raises DisconnectedScenarioError.
-    A scenario that stops at its phase limit adds its best-so-far paths;
-    if any stopped, one PhaseLimitError carries the whole union, evaluated
-    on the intact topology under the window's envelope.
+    Every switch link is a scenario except the bridges, whose failure
+    disconnects the network and so leaves no routing to union.  A scenario
+    that stops at its phase limit adds its best-so-far paths; if any
+    stopped, one PhaseLimitError carries the whole union, evaluated on the
+    intact topology under the window's envelope.
     """
-    links = topo.links() if failure_set is None else failure_set
-    scenarios: list[tuple[tuple[str, str], ...]] = [()]
-    scenarios += [(link_key(a, b),) for (a, b) in links]
-
+    envelope = demand_envelope(window)
     union: dict[tuple[str, str], set[Path]] = {}
     solved = 0
     stopped: list[PhaseLimitError] = []
-    for scenario in scenarios:
+    for scenario in [()] + [(link,) for link in topo.links()]:
         try:
             reduced = topo.without_links(scenario)
         except TopologyError:
-            if failure_set is None:
-                continue
-            raise DisconnectedScenarioError(scenario[0]) from None
+            continue
         solved += 1
         try:
-            part = semi_mcf_env(reduced, window, cfg)
+            part = mcf_mw(reduced, envelope, cfg).scheme
         except PhaseLimitError as exc:
             stopped.append(exc)
             part = exc.solution.scheme
         for pair, dist in part.items():
             union.setdefault(pair, set()).update(dist)
 
-    scheme: Scheme = {}
-    for pair, paths in union.items():
-        share = 1.0 / len(paths)
-        scheme[pair] = {p: share for p in sorted(paths)}
+    scheme: Scheme = {pair: {p: 1.0 / len(paths) for p in sorted(paths)}
+                      for pair, paths in union.items()}
     if stopped:
         raise PhaseLimitError(
             f"{len(stopped)} of {solved} scenarios stopped, the first: "
-            f"{stopped[0]}",
-            _solution(topo, scheme, demand_envelope(window)))
+            f"{stopped[0]}", _finish(topo, scheme, envelope, cfg))
     return scheme
-

@@ -109,7 +109,6 @@ class TreeDistribution:
     trees: tuple[tuple[RoutingTree, float], ...]
     lengths_final: Mapping[tuple[str, str], float]
     hit_iteration_limit: bool = False
-    iterations: int = 0
 
     def serialize(self) -> str:
         """Canonical text form; byte-identical for identical inputs."""
@@ -255,16 +254,14 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
     """
     if len(topo.switches) == 1:
         tree = frt_tree(topo, {}, [seed, 0])
-        return TreeDistribution(((tree, 1.0),), {}, iterations=1)
+        return TreeDistribution(((tree, 1.0),), {})
 
     lengths = graphops.inverse_capacity_lengths(topo)
     merged: dict[tuple, list] = {}  # routing identity -> [tree, weight]
     hit_limit = True
-    iterations = 0
     mass = 0.0
 
     for i in range(MAX_ITERATIONS):
-        iterations = i + 1
         tree = frt_tree(topo, lengths, [seed, i])
         climbs = tree.climbs()
         util = _tree_utilization(tree, topo, climbs)
@@ -289,8 +286,7 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
             "before the utilization threshold was exceeded", RuntimeWarning)
     total = sum(weight for _, weight in merged.values())
     trees = tuple((tree, weight / total) for tree, weight in merged.values())
-    return TreeDistribution(trees, dict(lengths),
-                            hit_iteration_limit=hit_limit, iterations=iterations)
+    return TreeDistribution(trees, dict(lengths), hit_iteration_limit=hit_limit)
 
 
 def paths_from_distribution(dist: TreeDistribution, topo: Topology) -> Scheme:

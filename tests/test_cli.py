@@ -574,3 +574,66 @@ def test_phase_limit_events_pinned(run, topo_path, tmp_path):
     for name, events in pinned.items():
         (summary,) = (tmp_path / "r").glob(f"*/{name}.summary.json")
         assert json.loads(summary.read_text())["phase_limit_events"] == events
+
+
+def test_run_names_outputs_by_canonical_algorithm(topo_path, demand_files,
+                                                  tmp_path):
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", " SPF,SemiMcfRaecke", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    run_dir, = (tmp_path / "r").iterdir()
+    assert sorted(p.name for p in run_dir.glob("*.csv")) == [
+        "comparison.csv", "semimcfraecke.csv", "spf.csv"]
+    rows = (run_dir / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["spf", "semimcfraecke"]
+    blob = json.loads((run_dir / "spf.summary.json").read_text())
+    assert blob["algorithm"] == "spf"
+
+
+def test_run_repeated_algorithm_exits_2(topo_path, demand_files, tmp_path,
+                                        capsys):
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", "spf,SPF, spf", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'spf'" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_unwritable_out_exits_2_before_simulating(
+        topo_path, demand_files, tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before making the output directory")
+
+    monkeypatch.setattr(tekit.sim, "simulate", no_simulation)
+    for out in (blocker, blocker / "sub"):
+        rc = main(["run", "--topo", topo_path,
+                   "--tms", f"{demand_files}.actual.tms",
+                   "--pred", f"{demand_files}.predicted.tms",
+                   "--algos", "spf", "--steps", "2", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+
+def test_gen_demands_unwritable_out_exits_2(topo_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "g"
+    rc = main(["gen-demands", "--topo", topo_path, "--num-tms", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err

@@ -4,11 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tekit
-from tekit import (DisconnectedScenarioError, EmptyWindowError,
-                   MissingPathsError, MwConfig, PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
-                   mcf_mw, semi_mcf, semi_mcf_env, semi_mcf_ft_env, spf,
-                   validate_scheme)
-from tekit.model import Edge, Topology, TrafficMatrix
+from tekit import (EmptyWindowError, MissingPathsError, MwConfig,
+                   PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
+                   mcf_mw, semi_mcf, semi_mcf_ft_env, spf, validate_scheme)
+from tekit.model import Edge, Topology, TopologyError, TrafficMatrix
 
 from conftest import build_topology, random_topology, tm_of
 from helpers import lp_min_max_congestion, random_commodities
@@ -202,20 +201,42 @@ def test_env_scheme_validates(abilene):
     for _ in range(5):
         window.append(gravity_tm(state, 1e9))
         state = mh_step(state)
-    scheme = semi_mcf_env(abilene, window)
+    scheme = mcf_mw(abilene, demand_envelope(window)).scheme
     assert validate_scheme(scheme, abilene) == []
 
 
-def test_ft_env_empty_failure_set_equals_env(diamond):
+def _scenario_union(topo, window, links):
+    """The failure-tolerant base built by hand: ``mcf_mw`` under the
+    window's envelope on the intact topology and on each reduced topology
+    that stays connected without one of ``links``, each pair's paths
+    unioned with uniform shares in sorted path order."""
+    envelope = demand_envelope(window)
+    union = {}
+    for scenario in [()] + [(link,) for link in links]:
+        try:
+            reduced = topo.without_links(scenario)
+        except TopologyError:
+            continue
+        for pair, dist in mcf_mw(reduced, envelope).scheme.items():
+            union.setdefault(pair, set()).update(dist)
+    return {pair: {p: 1.0 / len(paths) for p in sorted(paths)}
+            for pair, paths in union.items()}
+
+
+def _items(scheme):
+    return [(pair, list(dist.items())) for pair, dist in scheme.items()]
+
+
+def test_ft_env_is_union_of_scenario_solutions(diamond):
     tm = tm_of(diamond, {("hs", "ht"): 20.0})
-    env = semi_mcf_env(diamond, [tm])
-    ft = semi_mcf_ft_env(diamond, [tm], failure_set=())
-    assert {p: set(d) for p, d in ft.items()} == {p: set(d) for p, d in env.items()}
+    ft = semi_mcf_ft_env(diamond, [tm])
+    assert _items(ft) == _items(_scenario_union(diamond, [tm],
+                                                diamond.links()))
 
 
 def test_ft_env_diamond_covers_both_routes(diamond):
     tm = tm_of(diamond, {("hs", "ht"): 20.0})
-    ft = semi_mcf_ft_env(diamond, [tm], failure_set=[("sa", "st")])
+    ft = semi_mcf_ft_env(diamond, [tm])
     entry = ft[("hs", "ht")]
     assert ("hs", "ss", "sa", "st", "ht") in entry
     assert ("hs", "ss", "sb", "st", "ht") in entry
@@ -223,7 +244,7 @@ def test_ft_env_diamond_covers_both_routes(diamond):
 
 def test_ft_env_is_superset_of_env(abilene):
     tm = tm_of(abilene, {}, default=2e8)
-    env = semi_mcf_env(abilene, [tm])
+    env = mcf_mw(abilene, tm).scheme
     ft = semi_mcf_ft_env(abilene, [tm])
     for pair in env:
         assert len(ft[pair]) >= len(env[pair])
@@ -235,18 +256,19 @@ def test_ft_env_default_scenarios_skip_bridges():
                                    ("c", "d")])
     tm = tm_of(topo, {}, default=5.0)
     ft = semi_mcf_ft_env(topo, [tm])
-    assert ft == semi_mcf_ft_env(topo, [tm], failure_set=[("a", "b"),
-                                                          ("a", "c"),
-                                                          ("b", "c")])
+    assert _items(ft) == _items(_scenario_union(
+        topo, [tm], [("a", "b"), ("a", "c"), ("b", "c")]))
 
 
-def test_ft_env_explicit_bridge_raises(path8):
+def test_ft_env_all_bridges_equals_env(path8):
+    """Every link of path8 is a bridge, so only the intact topology is a
+    scenario."""
     tm = tm_of(path8, {("ha", "hb"): 10.0})
-    assert semi_mcf_ft_env(path8, [tm]) == semi_mcf_ft_env(
-        path8, [tm], failure_set=())
-    with pytest.raises(DisconnectedScenarioError) as err:
-        semi_mcf_ft_env(path8, [tm], failure_set=[("p4", "p3")])
-    assert err.value.link == ("p3", "p4")
+    ft = semi_mcf_ft_env(path8, [tm])
+    assert _items(ft) == _items(_scenario_union(path8, [tm], []))
+    env = mcf_mw(path8, tm).scheme
+    assert {p: set(d) for p, d in ft.items()} == {
+        p: set(d) for p, d in env.items()}
 
 
 def test_ft_env_phase_limit_keeps_every_scenario(abilene):
@@ -264,7 +286,7 @@ def test_ft_env_phase_limit_keeps_every_scenario(abilene):
             union.setdefault(pair, set()).update(dist)
     with pytest.raises(PhaseLimitError, match=f"^{len(scenarios)} of "
                        f"{len(scenarios)} scenarios stopped") as info:
-        semi_mcf_ft_env(abilene, [tm], None, cfg)
+        semi_mcf_ft_env(abilene, [tm], cfg=cfg)
     scheme = info.value.solution.scheme
     assert {pair: set(dist) for pair, dist in scheme.items()} == union
     assert sum(len(dist) for dist in scheme.values()) == 366

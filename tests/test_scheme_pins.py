@@ -6,16 +6,19 @@ dict order or to the last bit of a probability fails here.  The
 ``shared`` topology adds hosts that sort before (``a*``) and after
 (``z*``) abilene's ``h*`` hosts and share switches with them.  The Räcke
 tree distributions behind the ``raecke`` schemes are pinned as well: their
-canonical text and the stretch of their first tree.
+canonical text and the stretch of their first tree.  So are the bases the
+two envelope kinds learn from predicted matrices.
 """
 
 import hashlib
 
 import pytest
 
-from tekit import (Edge, Topology, ecmp, ksp,
-                   load_bundled_topology, paths_from_distribution,
-                   raecke_distribution, spf, stretch, vlb)
+from tekit import (AlgorithmKind, BuildConfig, Edge, GravityState, MwConfig,
+                   PhaseLimitError, SchemeDriver, Topology, ecmp,
+                   generate_sequences, gravity_tm, ksp, load_bundled_topology,
+                   paths_from_distribution, raecke_distribution,
+                   semi_mcf_ft_env, spf, stretch, vlb)
 
 
 def scheme_digest(scheme) -> str:
@@ -114,3 +117,38 @@ def test_tree_distribution_is_pinned(topologies, topo_name, seed):
     got = (_sha256(dist.serialize()),
            _sha256(repr(stretch(first, topo, dist.lengths_final))))
     assert got == DIST_PINS[(topo_name, seed)]
+
+
+#: sha256 of the bases that the envelope kinds learn on abilene from the
+#: predicted matrices of ``generate_sequences(abilene, 3, seed=5)``
+ENVELOPE_PINS = {
+    "semimcfmcfenv":
+        "2832c316e437f6064691b6b0a02f1f1d68b777c5c600c766ede0d36869686a04",
+    "semimcfmcfftenv":
+        "a7d9335d894b07d6de2d9a7d25b6ac2bc8f8e62f2ba4db46931f7fe8f1cd4936",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_PINS))
+def test_envelope_base_is_pinned(topologies, name):
+    abilene = topologies["abilene"]
+    _, predicted = generate_sequences(abilene, 3, seed=5)
+    driver = SchemeDriver(abilene, AlgorithmKind.parse(name), predicted,
+                          BuildConfig())
+    assert [s.limit for s in driver.solves] == [None]
+    assert scheme_digest(driver.base) == ENVELOPE_PINS[name]
+
+
+def test_capped_ft_env_is_pinned(topologies):
+    """A failure-tolerant envelope whose every scenario stops at its phase
+    limit: the error's message and the union it carries."""
+    abilene = topologies["abilene"]
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=12), 6e9)
+    with pytest.raises(PhaseLimitError) as info:
+        semi_mcf_ft_env(abilene, [tm], cfg=MwConfig(max_phases=2))
+    assert str(info.value) == ("16 of 16 scenarios stopped, the first: no "
+                               "certificate after 2 phases (ub=0.1304)")
+    sol = info.value.solution
+    assert scheme_digest(sol.scheme) == (
+        "ff69718469b0afdb5599d66d16fecaf11510fb24fdda5df47ce07f97f96a5ca7")
+    assert repr(sol.max_congestion) == "0.11315239182966756"
