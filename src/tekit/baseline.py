@@ -9,6 +9,8 @@ resolved by hop count and then lexicographic node sequence.
 
 from __future__ import annotations
 
+import functools
+
 from . import graphops
 from .model import Path, Scheme, Topology, lift, normalized
 
@@ -50,12 +52,21 @@ def ecmp(topo: Topology) -> Scheme:
 def ksp(topo: Topology, k: int = KSP_PATHS) -> Scheme:
     """The k shortest loopless paths per pair, uniform probabilities.
 
-    Pairs with fewer than k distinct simple paths keep what exists.
+    Pairs with fewer than k distinct simple paths keep what exists.  Yen
+    runs once per source switch, over every switch that serves a host, so
+    a source's targets share their spur searches.  ``lift`` asks for a
+    source's pairs in a row, so a one-entry cache holds the paths.
     """
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    return lift(topo, lambda s, d: _uniform(
-        graphops.k_shortest_paths(adj, lengths, s, d, k)))
+    served = list(dict.fromkeys(topo.host_switch(h) for h in topo.hosts))
+
+    @functools.lru_cache(maxsize=1)
+    def paths_from(s: str) -> dict[str, list[Path]]:
+        return graphops.k_shortest_paths(
+            adj, lengths, s, [t for t in served if t != s], k)
+
+    return lift(topo, lambda s, d: _uniform(paths_from(s)[d]))
 
 
 def vlb(topo: Topology) -> Scheme:

@@ -6,9 +6,12 @@ and the congestion solver both reroute under evolving lengths).  Ties are
 always broken by (cost, hop count, node sequence) so identical inputs yield
 identical paths on any platform.
 
-No search copies the graph.  ``shortest_path`` stops at the target's first
-pop and takes sets of banned nodes and edges, which it skips while it
-expands; Yen's ``k_shortest_paths`` passes its spur restrictions that way.
+No search copies the graph.  ``dijkstra`` is the plain search, the one the
+congestion solver's oracle calls.  ``shortest_paths_avoiding`` is the same
+search skipping sets of banned nodes and edges.  Yen's
+``k_shortest_paths`` runs once per source: a spur search depends on the
+spur node, the banned root nodes and the banned next hops but not on the
+target, so all of the source's targets share each restricted search.
 ``min_cost_paths`` takes the source's and target's distance maps, so a
 caller routing every pair runs two Dijkstras per node, not two per pair.
 """
@@ -66,35 +69,37 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths,
     return dist, best
 
 
-def shortest_path(adj, lengths: Lengths, source: str, target: str,
-                  banned_nodes: Iterable[str] = (),
-                  banned_edges: Iterable[tuple[str, str]] = ()) -> Path:
-    """The path ``dijkstra`` would pick from source to target, avoiding the
-    banned nodes and directed edges.
+def shortest_paths_avoiding(adj, lengths: Lengths, source: str,
+                            banned_nodes: Iterable[str] = (),
+                            banned_edges: Iterable[tuple[str, str]] = ()
+                            ) -> dict[str, Path]:
+    """The path ``dijkstra`` would pick from source to each node it reaches
+    while avoiding the banned nodes and directed edges.
 
-    The search never expands into a banned node or along a banned edge, and
-    it stops at the target's first pop: that entry is the minimum
-    (cost, hops, sequence) one, the same a full search settles.
+    The search never expands into a banned node or along a banned edge.  A
+    node's path is its first pop, the minimum (cost, hops, sequence) entry,
+    so a search stopped there would return the same path.  Unreachable
+    nodes are missing from the result.
     """
     done = set(banned_nodes)
     cut: dict[str, set[str]] = {}
     for u, v in banned_edges:
         cut.setdefault(u, set()).add(v)
+    best: dict[str, Path] = {}
     heap: list[tuple[float, int, Path]] = [(0.0, 1, (source,))]
     while heap:
         d, nhops, path = heapq.heappop(heap)
         node = path[-1]
-        if node == target:
-            return path
         if node in done:
             continue
         done.add(node)
+        best[node] = path
         skip = cut.get(node, ())
         for nbr in adj[node]:
             if nbr not in done and nbr not in skip:
                 heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
                                       path + (nbr,)))
-    raise UnreachablePair(f"no route {source} -> {target}")
+    return best
 
 
 def reversed_graph(adj: Mapping[str, Iterable[str]], lengths: Lengths
@@ -148,39 +153,62 @@ def min_cost_paths(adj, lengths: Lengths, source: str, target: str,
     return out
 
 
-def k_shortest_paths(adj, lengths: Lengths, source: str, target: str,
-                     k: int) -> list[Path]:
-    """Yen's algorithm: the k shortest loopless paths, ordered by
-    (cost, hop count, node sequence)."""
+def k_shortest_paths(adj, lengths: Lengths, source: str,
+                     targets: Iterable[str], k: int) -> dict[str, list[Path]]:
+    """Yen's algorithm from one source: each target's k shortest loopless
+    paths, ordered by (cost, hop count, node sequence).
+
+    Targets with fewer than k loopless paths keep what exists; an
+    unreachable target raises ``UnreachablePair``.  The targets run in
+    order and share one memo from (spur, banned root nodes, banned next
+    hops) to that restricted search's paths; it lives for this call.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    first = shortest_path(adj, lengths, source, target)
-    found: list[tuple[float, int, Path]] = [
-        (path_cost(lengths, first), len(first), first)]
-    candidates: list[tuple[float, int, Path]] = []
-    seen_candidates = {first}
+    searches: dict[tuple[str, frozenset[str], frozenset[str]],
+                   dict[str, Path]] = {}
 
-    while len(found) < k:
-        _, _, prev = found[-1]
-        for i in range(len(prev) - 1):
-            spur = prev[i]
-            root = prev[:i + 1]
-            banned_edges = {(p[i], p[i + 1]) for (_, _, p) in found
-                            if p[:i + 1] == root and len(p) > i + 1}
-            try:
-                spur_path = shortest_path(adj, lengths, spur, target,
-                                          root[:-1], banned_edges)
-            except UnreachablePair:
-                continue
-            candidate = root[:-1] + spur_path
-            if candidate not in seen_candidates:
-                seen_candidates.add(candidate)
-                heapq.heappush(candidates, (path_cost(lengths, candidate),
-                                            len(candidate), candidate))
-        if not candidates:
-            break
-        found.append(heapq.heappop(candidates))
-    return [p for (_, _, p) in found]
+    def search(spur: str, banned_nodes: frozenset[str],
+               banned_next: frozenset[str]) -> dict[str, Path]:
+        key = (spur, banned_nodes, banned_next)
+        paths = searches.get(key)
+        if paths is None:
+            paths = searches[key] = shortest_paths_avoiding(
+                adj, lengths, spur, banned_nodes,
+                [(spur, v) for v in banned_next])
+        return paths
+
+    first = search(source, frozenset(), frozenset())
+    out: dict[str, list[Path]] = {}
+    for target in targets:
+        if target not in first:
+            raise UnreachablePair(f"no route {source} -> {target}")
+        path = first[target]
+        found: list[tuple[float, int, Path]] = [
+            (path_cost(lengths, path), len(path), path)]
+        candidates: list[tuple[float, int, Path]] = []
+        seen_candidates = {path}
+
+        while len(found) < k:
+            _, _, prev = found[-1]
+            for i in range(len(prev) - 1):
+                root = prev[:i + 1]
+                banned_next = frozenset(p[i + 1] for (_, _, p) in found
+                                        if p[:i + 1] == root)
+                spur_path = search(prev[i], frozenset(root[:-1]),
+                                   banned_next).get(target)
+                if spur_path is None:
+                    continue
+                candidate = root[:-1] + spur_path
+                if candidate not in seen_candidates:
+                    seen_candidates.add(candidate)
+                    heapq.heappush(candidates, (path_cost(lengths, candidate),
+                                                len(candidate), candidate))
+            if not candidates:
+                break
+            found.append(heapq.heappop(candidates))
+        out[target] = [p for (_, _, p) in found]
+    return out
 
 
 def path_cost(lengths: Lengths, path: Path) -> float:

@@ -385,7 +385,8 @@ def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]]
 
     ``route(s, d)`` returns the switch-level path distribution from switch
     ``s`` to switch ``d``; it is called once per switch pair, s != d, that
-    serves some host pair.  Hosts sharing a switch get the single-switch
+    serves some host pair, and all of one source switch's pairs are asked
+    for in a row.  Hosts sharing a switch get the single-switch
     path.  Each host pair gets its switch pair's distribution with the host
     stubs attached, in the route's path order and with its exact
     probabilities (nothing is renormalized).

@@ -5,15 +5,19 @@ shortest paths come from exhaustive simple-path enumeration, and the
 min-max-congestion reference solves the full path-based LP with scipy's
 simplex-free HiGHS backend.  ``reference_propagate`` is the fluid step
 written with per-link dicts, the specification the array step reproduces.
+``reference_k_shortest_paths`` is Yen's algorithm run pair by pair, each
+spur search stopping at the target, the specification the per-source Yen
+reproduces.
 """
 
+import heapq
 import itertools
 
 import numpy as np
 from scipy.optimize import linprog
 
 from tekit import graphops
-from tekit.model import path_edges
+from tekit.model import UnreachablePair, path_edges
 from tekit.sim import StepMetrics
 
 
@@ -54,6 +58,69 @@ def brute_k_shortest(adj, lengths, source, target, k):
     paths = enumerate_simple_paths(adj, source, target)
     ranked = sorted(paths, key=lambda p: (path_cost(lengths, p), len(p), p))
     return ranked[:k]
+
+
+def reference_shortest_path(adj, lengths, source, target, banned_nodes=(),
+                            banned_edges=()):
+    """The path ``dijkstra`` would pick from source to target, avoiding the
+    banned nodes and directed edges.
+
+    The search never expands into a banned node or along a banned edge, and
+    it stops at the target's first pop: that entry is the minimum
+    (cost, hops, sequence) one, the same a full search settles.
+    """
+    done = set(banned_nodes)
+    cut = {}
+    for u, v in banned_edges:
+        cut.setdefault(u, set()).add(v)
+    heap = [(0.0, 1, (source,))]
+    while heap:
+        d, nhops, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == target:
+            return path
+        if node in done:
+            continue
+        done.add(node)
+        skip = cut.get(node, ())
+        for nbr in adj[node]:
+            if nbr not in done and nbr not in skip:
+                heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
+                                      path + (nbr,)))
+    raise UnreachablePair(f"no route {source} -> {target}")
+
+
+def reference_k_shortest_paths(adj, lengths, source, target, k):
+    """Yen's algorithm for one pair: the k shortest loopless paths, ordered
+    by (cost, hop count, node sequence)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    first = reference_shortest_path(adj, lengths, source, target)
+    found = [(path_cost(lengths, first), len(first), first)]
+    candidates = []
+    seen_candidates = {first}
+
+    while len(found) < k:
+        _, _, prev = found[-1]
+        for i in range(len(prev) - 1):
+            spur = prev[i]
+            root = prev[:i + 1]
+            banned_edges = {(p[i], p[i + 1]) for (_, _, p) in found
+                            if p[:i + 1] == root and len(p) > i + 1}
+            try:
+                spur_path = reference_shortest_path(adj, lengths, spur, target,
+                                                    root[:-1], banned_edges)
+            except UnreachablePair:
+                continue
+            candidate = root[:-1] + spur_path
+            if candidate not in seen_candidates:
+                seen_candidates.add(candidate)
+                heapq.heappush(candidates, (path_cost(lengths, candidate),
+                                            len(candidate), candidate))
+        if not candidates:
+            break
+        found.append(heapq.heappop(candidates))
+    return [p for (_, _, p) in found]
 
 
 def lp_min_max_congestion(topo, commodities):

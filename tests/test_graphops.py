@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tekit import UnreachablePair, graphops
 
 from conftest import TIED_LENGTHS, random_topology
-from helpers import brute_k_shortest, brute_min_cost_set, brute_shortest
+from helpers import (brute_k_shortest, brute_min_cost_set, brute_shortest,
+                     enumerate_simple_paths, reference_k_shortest_paths)
 
 
 def _adj_and_lengths(topo, unit=True):
@@ -55,12 +56,12 @@ def test_yen_matches_brute_force_top_k(seed):
     for _ in range(4):
         s, t = rng.choice(len(switches), size=2, replace=False)
         s, t = switches[s], switches[t]
-        got = graphops.k_shortest_paths(adj, lengths, s, t, 4)
-        assert got == brute_k_shortest(adj, lengths, s, t, 4)
+        got = graphops.k_shortest_paths(adj, lengths, s, [t], 4)
+        assert got == {t: brute_k_shortest(adj, lengths, s, t, 4)}
 
 
 @st.composite
-def _directed_graphs(draw):
+def _directed_graphs(draw, lengths=TIED_LENGTHS):
     """Small directed graphs: arcs in drawn order (so the adjacency order
     varies), each with its own length, reverse arcs drawn independently."""
     nodes = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
@@ -68,7 +69,7 @@ def _directed_graphs(draw):
                                    st.sampled_from(nodes))
                          .filter(lambda a: a[0] != a[1]), unique=True))
     adj = {u: tuple(v for (w, v) in arcs if w == u) for u in nodes}
-    return adj, {a: draw(TIED_LENGTHS) for a in arcs}
+    return adj, {a: draw(lengths) for a in arcs}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -79,22 +80,49 @@ def test_yen_matches_brute_force_property(graph, k):
         expected = brute_k_shortest(adj, lengths, s, t, k)
         if not expected:
             with pytest.raises(UnreachablePair):
-                graphops.k_shortest_paths(adj, lengths, s, t, k)
+                graphops.k_shortest_paths(adj, lengths, s, [t], k)
         else:
-            assert graphops.k_shortest_paths(adj, lengths, s, t, k) == expected
+            assert (graphops.k_shortest_paths(adj, lengths, s, [t], k)
+                    == {t: expected})
+
+
+#: non-dyadic lengths: sums round, so candidates tie or differ in the last
+#: bit by the order of addition (0.1 + 0.2 == 0.30000000000000004)
+ROUNDING_LENGTHS = st.sampled_from([0.1, 0.2, 0.30000000000000004, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_directed_graphs(st.one_of(TIED_LENGTHS, ROUNDING_LENGTHS)),
+       k=st.integers(1, 6))
+def test_yen_per_source_matches_per_pair_reference(graph, k):
+    """One call per source, all reachable targets at once, equals Yen run
+    pair by pair with stop-at-target searches, path for path."""
+    adj, lengths = graph
+    for s in adj:
+        reach = {t for t in adj if enumerate_simple_paths(adj, s, t)}
+        targets = [t for t in adj if t != s and t in reach]
+        got = graphops.k_shortest_paths(adj, lengths, s, targets, k)
+        assert list(got) == targets
+        for t in targets:
+            assert got[t] == reference_k_shortest_paths(adj, lengths, s, t, k)
+        for t in adj:
+            if t not in reach:
+                with pytest.raises(UnreachablePair, match=f"{s} -> {t}"):
+                    graphops.k_shortest_paths(adj, lengths, s,
+                                              targets + [t], k)
 
 
 def test_unreachable_pair_raises():
     adj = {"a": ("b",), "b": (), "c": ("b",)}
     lengths = {("a", "b"): 1.0, ("c", "b"): 1.0}
     radj, rlengths = graphops.reversed_graph(adj, lengths)
+    assert "a" not in graphops.shortest_paths_avoiding(adj, lengths, "b")
+    assert "b" not in graphops.shortest_paths_avoiding(
+        adj, lengths, "a", banned_edges={("a", "b")})
     with pytest.raises(UnreachablePair):
-        graphops.shortest_path(adj, lengths, "b", "a")
-    with pytest.raises(UnreachablePair):
-        graphops.shortest_path(adj, lengths, "a", "b",
-                               banned_edges={("a", "b")})
-    with pytest.raises(UnreachablePair):
-        graphops.k_shortest_paths(adj, lengths, "a", "c", 3)
+        graphops.k_shortest_paths(adj, lengths, "a", ["c"], 3)
+    with pytest.raises(UnreachablePair, match="c -> a"):
+        graphops.k_shortest_paths(adj, lengths, "c", ["b", "a"], 3)
     with pytest.raises(UnreachablePair):
         graphops.min_cost_paths(adj, lengths, "a", "c",
                                 graphops.dijkstra(adj, lengths, "a")[0],
@@ -103,8 +131,8 @@ def test_unreachable_pair_raises():
 
 def test_yen_handles_fewer_paths_than_k(line4):
     adj, lengths = _adj_and_lengths(line4)
-    assert graphops.k_shortest_paths(adj, lengths, "a", "d", 5) == [
-        ("a", "b", "c", "d")]
+    assert graphops.k_shortest_paths(adj, lengths, "a", ["d"], 5) == {
+        "d": [("a", "b", "c", "d")]}
 
 
 def test_shortcut_removes_loops():

@@ -20,6 +20,8 @@ from tekit import (AlgorithmKind, BuildConfig, Edge, GravityState, MwConfig,
                    paths_from_distribution, raecke_distribution,
                    semi_mcf_ft_env, spf, stretch, vlb)
 
+from conftest import random_topology
+
 
 def scheme_digest(scheme) -> str:
     h = hashlib.sha256()
@@ -88,6 +90,20 @@ def topologies():
 def test_builder_output_is_pinned(topologies, topo_name, builder):
     scheme = BUILDERS[builder](topologies[topo_name])
     assert scheme_digest(scheme) == PINS[(topo_name, builder)]
+
+
+#: ``ksp`` on 30-switch random topologies: unit latencies, so Yen ranks
+#: many equal-cost candidates, a tie-heavy case abilene never reaches
+KSP_30_PINS = {
+    0: "133d7b93b98e75c8893e6c54961c22ab2e07ba2d5610029343fab2c294209c14",
+    1: "80bf52ee7e00b896cb69a179fe6bd6624de6fa5e870461c5e8418c0d83f1ed9c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KSP_30_PINS))
+def test_ksp_on_30_switches_is_pinned(seed):
+    topo = random_topology(seed, n_switches=30, extra_links=15)
+    assert scheme_digest(ksp(topo)) == KSP_30_PINS[seed]
 
 
 #: sha256 of ``TreeDistribution.serialize()`` and of the ``repr`` of the
