@@ -18,7 +18,7 @@ state = GravityState.initial(topo.hosts, seed=4)
 print("weight chain (first three hosts):")
 for step in range(5):
     w = ", ".join(f"{x:.2f}" for x in state.weights[:3])
-    print(f"  step {step}: [{w}, ...] total demand x{diurnal_scale(step, 1.0, 4):.3f}")
+    print(f"  step {step}: [{w}, ...] total demand x{diurnal_scale(step, 4):.3f}")
     state = mh_step(state)
 
 tms = []

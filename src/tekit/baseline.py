@@ -41,12 +41,10 @@ def ecmp(topo: Topology) -> Scheme:
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     radj, rlengths = graphops.reversed_graph(adj, lengths)
-    dist_from = {s: graphops.dijkstra(adj, lengths, s)[0]
-                 for s in topo.switches}
     dist_to = {d: graphops.dijkstra(radj, rlengths, d)[0]
                for d in topo.switches}
     return lift(topo, lambda s, d: _uniform(graphops.min_cost_paths(
-        adj, lengths, s, d, dist_from[s], dist_to[d])))
+        adj, lengths, s, d, dist_to[d])))
 
 
 def ksp(topo: Topology, k: int = KSP_PATHS) -> Scheme:
@@ -88,8 +86,7 @@ def vlb(topo: Topology) -> Scheme:
         share = 1.0 / len(intermediates)
         dist: dict[Path, float] = {}
         for i in intermediates:
-            path = graphops.shortcut(
-                graphops.concatenate(best[s][i], best[i][d]))
+            path = graphops.shortcut(best[s][i] + best[i][d][1:])
             dist[path] = dist.get(path, 0.0) + share
         return normalized(dist)
 

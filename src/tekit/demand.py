@@ -38,6 +38,8 @@ PARETO_SCALE = 1.0
 FLASH_HALF_LIFE_STEPS = 30
 #: optimal congestion of the first matrix per unit of demand scale S
 CONGESTION_PER_SCALE = 0.4
+#: relative amplitude of the seeded noise on the weekly template's sinusoids
+DIURNAL_NOISE = 0.05
 
 
 class NoEligibleSinkError(RuntimeError):
@@ -148,29 +150,27 @@ def mh_step(state: GravityState) -> GravityState:
     return replace(state, weights=tuple(new_weights), step=state.step + 1)
 
 
-def diurnal_scale(step: int, base_total: float, seed: int = 0,
-                  noise_amplitude: float = 0.05) -> float:
+def diurnal_scale(step: int, seed: int = 0) -> float:
     """Weekly traffic-intensity template evaluated at a step.
 
     The template is 1 plus three sinusoids at daily, half-daily and weekly
     periods (in ``TM_MINUTES``-minute steps), whose amplitudes are
-    perturbed once per seed by Gaussian noise of the given relative
-    amplitude (clipped to +-20% so the constant offset always dominates and
-    the factor stays positive).  The mean over a full week is 1 up to the
+    perturbed once per seed by Gaussian noise of relative amplitude
+    ``DIURNAL_NOISE`` (clipped to +-20% so the constant offset always
+    dominates and the factor stays positive).  The mean over a full week is 1 up to the
     perturbation.
     """
     steps_per_day = 24 * 60 / TM_MINUTES
     periods = (steps_per_day, steps_per_day / 2, 7 * steps_per_day)
     amplitudes = np.array([0.25, 0.10, 0.15])
     phases = (0.0, 1.0, 2.0)
-    if noise_amplitude > 0:
-        rng = np.random.default_rng([seed, _DIURNAL])
-        jitter = np.clip(noise_amplitude * rng.normal(size=3), -0.2, 0.2)
-        amplitudes = amplitudes * (1.0 + jitter)
+    rng = np.random.default_rng([seed, _DIURNAL])
+    jitter = np.clip(DIURNAL_NOISE * rng.normal(size=3), -0.2, 0.2)
+    amplitudes = amplitudes * (1.0 + jitter)
     f = 1.0
     for amp, period, phase in zip(amplitudes, periods, phases):
         f += amp * math.sin(2.0 * math.pi * step / period + phase)
-    return base_total * f
+    return f
 
 
 def flash_sink(tm: TrafficMatrix, seed: int, tm_index: int) -> str:
@@ -254,7 +254,7 @@ def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
     actual: list[TrafficMatrix] = []
     predicted: list[TrafficMatrix] = []
     for t in range(num_tms):
-        total = diurnal_scale(t, 1.0, seed) if diurnal else 1.0
+        total = diurnal_scale(t, seed) if diurnal else 1.0
         actual.append(gravity_tm(state, total))
         predicted.append(gravity_tm(perturb_for_prediction(state, epsilon, seed),
                                     total))

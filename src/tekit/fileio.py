@@ -6,12 +6,12 @@ Topology files are line oriented UTF-8::
     node <name> host|switch
     link <a> <b> cap=<float>bps [weight=<float>]
 
-Each ``link`` line describes an undirected link and expands to two directed
-edges of equal capacity and weight.
+Each node is declared once.  Each ``link`` line describes an undirected link
+and expands to two directed edges of equal capacity and weight.
 
-Traffic-matrix sequence files hold one matrix per line: n_hosts^2
-space-separated decimal rates in row-major order over the lexicographically
-sorted host list.
+Traffic-matrix sequence files are UTF-8 too and hold one matrix per line:
+n_hosts^2 space-separated decimal rates in row-major order over the
+lexicographically sorted host list.
 """
 
 from __future__ import annotations
@@ -44,8 +44,12 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
         try:
             if parts[0] == "node":
                 _, node, kind = parts
+                if node in nodes:
+                    raise ValueError(f"node {node} declared twice")
                 nodes[node] = kind
             elif parts[0] == "link":
+                if len(parts) < 3:
+                    raise ValueError("link needs two endpoints")
                 a, b = parts[1], parts[2]
                 cap = None
                 weight = 1.0
@@ -113,14 +117,17 @@ def write_tm_sequence(path: str | FsPath, tms: Iterable[TrafficMatrix]) -> None:
 
 def read_tm_sequence(path: str | FsPath, hosts: Sequence[str]) -> list[TrafficMatrix]:
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse_tm_line(line, hosts))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(parse_tm_line(line, hosts))
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
     return out
 
 

@@ -6,14 +6,13 @@ and the congestion solver both reroute under evolving lengths).  Ties are
 always broken by (cost, hop count, node sequence) so identical inputs yield
 identical paths on any platform.
 
-No search copies the graph.  ``dijkstra`` is the plain search, the one the
-congestion solver's oracle calls.  ``shortest_paths_avoiding`` is the same
-search skipping sets of banned nodes and edges.  Yen's
-``k_shortest_paths`` runs once per source: a spur search depends on the
-spur node, the banned root nodes and the banned next hops but not on the
-target, so all of the source's targets share each restricted search.
-``min_cost_paths`` takes the source's and target's distance maps, so a
-caller routing every pair runs two Dijkstras per node, not two per pair.
+No search copies the graph, and ``dijkstra`` is the one search: the
+congestion solver's oracle calls it plain, Yen's ``k_shortest_paths``
+with banned nodes and edges.  Yen runs once per source: a spur search
+depends on the spur node, the banned root nodes and the banned next hops
+but not on the target, so all of the source's targets share each
+restricted search.  ``min_cost_paths`` takes the target's distance map, so
+a caller routing every pair runs one Dijkstra per node, not one per pair.
 """
 
 from __future__ import annotations
@@ -44,16 +43,28 @@ def inverse_capacity_lengths(topo: Topology) -> dict[tuple[str, str], float]:
     return {k: 1.0 / topo.edges[k].capacity for k in topo.switch_edges}
 
 
-def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths,
-             source: str) -> tuple[dict[str, float], dict[str, Path]]:
-    """Single-source shortest paths with deterministic tie-breaking.
+def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths, source: str,
+             banned_nodes: Iterable[str] = (),
+             banned_edges: Iterable[tuple[str, str]] = ()
+             ) -> tuple[dict[str, float], dict[str, Path]]:
+    """Single-source shortest paths with deterministic tie-breaking,
+    never entering a banned node or following a banned directed edge (the
+    source itself must not be banned).
 
-    Returns (distance, best_path) maps.  The heap entries carry the full
-    candidate path so equal-cost alternatives resolve by hop count and then
-    lexicographic node sequence.
+    Returns (distance, best_path) maps; unreachable nodes are missing.  The
+    heap entries carry the full candidate path so equal-cost alternatives
+    resolve by hop count and then lexicographic node sequence.  A node's
+    path is its first pop, the minimum (cost, hops, sequence) entry, so a
+    search stopped there would return the same path.
     """
     dist: dict[str, float] = {}
     best: dict[str, Path] = {}
+    banned = frozenset(banned_nodes)
+    # each node's neighbours not to enter: the banned nodes, plus the heads
+    # of its banned edges
+    skips: dict[str, set[str]] = {}
+    for u, v in banned_edges:
+        skips.setdefault(u, set(banned)).add(v)
     heap: list[tuple[float, int, Path]] = [(0.0, 1, (source,))]
     while heap:
         d, nhops, path = heapq.heappop(heap)
@@ -62,44 +73,12 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths,
             continue
         dist[node] = d
         best[node] = path
+        skip = skips.get(node, banned)
         for nbr in adj[node]:
-            if nbr not in dist:
+            if nbr not in dist and nbr not in skip:
                 heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
                                       path + (nbr,)))
     return dist, best
-
-
-def shortest_paths_avoiding(adj, lengths: Lengths, source: str,
-                            banned_nodes: Iterable[str] = (),
-                            banned_edges: Iterable[tuple[str, str]] = ()
-                            ) -> dict[str, Path]:
-    """The path ``dijkstra`` would pick from source to each node it reaches
-    while avoiding the banned nodes and directed edges.
-
-    The search never expands into a banned node or along a banned edge.  A
-    node's path is its first pop, the minimum (cost, hops, sequence) entry,
-    so a search stopped there would return the same path.  Unreachable
-    nodes are missing from the result.
-    """
-    done = set(banned_nodes)
-    cut: dict[str, set[str]] = {}
-    for u, v in banned_edges:
-        cut.setdefault(u, set()).add(v)
-    best: dict[str, Path] = {}
-    heap: list[tuple[float, int, Path]] = [(0.0, 1, (source,))]
-    while heap:
-        d, nhops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done.add(node)
-        best[node] = path
-        skip = cut.get(node, ())
-        for nbr in adj[node]:
-            if nbr not in done and nbr not in skip:
-                heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
-                                      path + (nbr,)))
-    return best
 
 
 def reversed_graph(adj: Mapping[str, Iterable[str]], lengths: Lengths
@@ -114,20 +93,18 @@ def reversed_graph(adj: Mapping[str, Iterable[str]], lengths: Lengths
 
 
 def min_cost_paths(adj, lengths: Lengths, source: str, target: str,
-                   dist_from: Mapping[str, float],
                    dist_to: Mapping[str, float]) -> list[Path]:
     """All simple paths from source to target achieving the minimum cost.
 
-    ``dist_from`` holds the distances from ``source`` (``dijkstra`` from
-    it) and ``dist_to`` the distances to ``target`` (``dijkstra`` from it
-    over ``reversed_graph``), so a caller routing many pairs searches once
-    per node and direction.  Works by depth-first search constrained to
-    moves that keep the optimal completion cost reachable; a visited set
-    keeps paths simple even in the presence of zero-length edges.
+    ``dist_to`` holds the distances to ``target`` (``dijkstra`` from it
+    over ``reversed_graph``), so a caller routing every pair searches once
+    per node.  Works by depth-first search constrained to moves that keep
+    the optimal completion cost reachable; a visited set keeps paths simple
+    even in the presence of zero-length edges.
     """
-    if target not in dist_from:
+    if source not in dist_to:
         raise UnreachablePair(f"no route {source} -> {target}")
-    total = dist_from[target]
+    total = dist_to[source]
     eps = 1e-12 * max(1.0, abs(total))
 
     out: list[Path] = []
@@ -173,9 +150,9 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
         key = (spur, banned_nodes, banned_next)
         paths = searches.get(key)
         if paths is None:
-            paths = searches[key] = shortest_paths_avoiding(
+            paths = searches[key] = dijkstra(
                 adj, lengths, spur, banned_nodes,
-                [(spur, v) for v in banned_next])
+                [(spur, v) for v in banned_next])[1]
         return paths
 
     first = search(source, frozenset(), frozenset())
@@ -231,10 +208,3 @@ def shortcut(path: Path) -> Path:
                 del at[dropped]
             del out[i + 1:]
     return tuple(out)
-
-
-def concatenate(first: Path, second: Path) -> Path:
-    """Join two walks sharing an endpoint node."""
-    if first[-1] != second[0]:
-        raise ValueError(f"walks do not connect: {first[-1]} != {second[0]}")
-    return first + second[1:]

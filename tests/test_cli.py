@@ -275,6 +275,30 @@ def test_run_missing_topology_exits_2(tmp_path, capsys):
     assert "topology" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "gen-demands"])
+def test_bad_topology_line_exits_2(command, tmp_path, capsys):
+    topo = tmp_path / "bad.topo"
+    topo.write_text("node s1 switch\nnode h1 host\nlink s1\n")
+    args = {"run": ["--tms", "x", "--pred", "y", "--algos", "spf"],
+            "gen-demands": ["--num-tms", "1"]}[command]
+    rc = main([command, "--topo", str(topo), "--out",
+               str(tmp_path / "r")] + args)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: topology: bad:3: link needs two endpoints\n")
+
+
+def test_run_non_utf8_matrices_exit_2(topo_path, tmp_path, capsys):
+    tms = tmp_path / "bad.tms"
+    tms.write_bytes(b"\xff\xfe" + b"0 " * 144 + b"\n")
+    rc = main(["run", "--topo", topo_path, "--tms", str(tms),
+               "--pred", str(tms), "--algos", "spf", "--steps", "2",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: traffic matrices: {tms}: not UTF-8 text\n")
+
+
 def test_run_infinite_capacity_exits_2(tmp_path, capsys):
     topo = tmp_path / "inf.topo"
     topo.write_text("node s1 switch\nnode s2 switch\nnode h1 host\n"

@@ -102,7 +102,8 @@ def test_mh_weights_stay_positive():
 
 # -- diurnal template --------------------------------------------------------
 
-def test_diurnal_zero_noise_is_template():
+def test_diurnal_zero_noise_is_template(monkeypatch):
+    monkeypatch.setattr(tekit.demand, "DIURNAL_NOISE", 0.0)
     steps_per_day = 288.0
     for step in (0, 100, 1000):
         expected = 1.0
@@ -110,20 +111,20 @@ def test_diurnal_zero_noise_is_template():
                                    (0.10, steps_per_day / 2, 1.0),
                                    (0.15, 7 * steps_per_day, 2.0)):
             expected += amp * math.sin(2 * math.pi * step / period + phase)
-        got = diurnal_scale(step, 1.0, seed=0, noise_amplitude=0.0)
+        got = diurnal_scale(step, seed=0)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_diurnal_positive_all_week():
     week = 7 * 288
-    vals = [diurnal_scale(s, 1.0, seed=5) for s in range(week)]
+    vals = [diurnal_scale(s, seed=5) for s in range(week)]
     assert min(vals) > 0
 
 
 def test_diurnal_weekly_mean_near_one():
     week = 7 * 288
     for seed in (0, 1, 2):
-        vals = [diurnal_scale(s, 1.0, seed=seed) for s in range(week)]
+        vals = [diurnal_scale(s, seed=seed) for s in range(week)]
         assert np.mean(vals) == pytest.approx(1.0, abs=0.05)
 
 

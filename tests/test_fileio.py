@@ -102,6 +102,18 @@ def test_parse_errors(bad, msg):
         parse_topology(bad)
 
 
+@pytest.mark.parametrize("bad, where, msg", [
+    ("node s1 switch\nlink s1", "t:2", "link needs two endpoints"),
+    ("node s1 switch\n\nlink", "t:3", "link needs two endpoints"),
+    ("node a switch\nnode a switch", "t:2", "node a declared twice"),
+    ("node h host\nnode s switch\n# again\nnode h switch", "t:4",
+     "node h declared twice"),
+])
+def test_parse_errors_name_file_and_line(bad, where, msg):
+    with pytest.raises(ParseError, match=f"^{where}: {msg}$"):
+        parse_topology(bad, name="t")
+
+
 def test_bundled_topologies_load():
     names = bundled_topology_names()
     assert {"abilene", "diamond", "triangle", "path8"} <= set(names)
@@ -147,6 +159,13 @@ def test_tm_line_wrong_arity():
 def test_tm_line_bad_rate(token, msg):
     with pytest.raises(ParseError, match=msg):
         parse_tm_line(f"0 {token} 1 0", ("a", "b"))
+
+
+def test_tm_sequence_not_utf8_names_file(tmp_path):
+    path = tmp_path / "bad.tms"
+    path.write_bytes(b"\xff\xfe0 1 1 0\n")
+    with pytest.raises(ParseError, match=r"bad\.tms: not UTF-8 text"):
+        read_tm_sequence(path, ["a", "b"])
 
 
 def test_tm_sequence_bad_rate_names_file_and_line(tmp_path):

@@ -9,7 +9,8 @@ from tekit import UnreachablePair, graphops
 
 from conftest import TIED_LENGTHS, random_topology
 from helpers import (brute_k_shortest, brute_min_cost_set, brute_shortest,
-                     enumerate_simple_paths, reference_k_shortest_paths)
+                     enumerate_simple_paths, path_cost,
+                     reference_k_shortest_paths, reference_shortest_path)
 
 
 def _adj_and_lengths(topo, unit=True):
@@ -41,9 +42,8 @@ def test_min_cost_paths_matches_enumeration(seed):
         s, t = rng.choice(len(switches), size=2, replace=False)
         s, t = switches[s], switches[t]
         radj, rlengths = graphops.reversed_graph(adj, lengths)
-        dist_from = graphops.dijkstra(adj, lengths, s)[0]
         dist_to = graphops.dijkstra(radj, rlengths, t)[0]
-        assert (graphops.min_cost_paths(adj, lengths, s, t, dist_from, dist_to)
+        assert (graphops.min_cost_paths(adj, lengths, s, t, dist_to)
                 == brute_min_cost_set(adj, lengths, s, t))
 
 
@@ -112,20 +112,64 @@ def test_yen_per_source_matches_per_pair_reference(graph, k):
                                               targets + [t], k)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_directed_graphs(st.one_of(TIED_LENGTHS, ROUNDING_LENGTHS)),
+       data=st.data())
+def test_dijkstra_with_bans_matches_reference(graph, data):
+    """The one search, with random banned nodes and directed edges (never
+    the source), settles each target on the path a stop-at-target search
+    picks; an unreachable or banned target is missing from both maps."""
+    adj, lengths = graph
+    nodes = list(adj)
+    source = data.draw(st.sampled_from(nodes))
+    banned_nodes = data.draw(st.sets(st.sampled_from(nodes))) - {source}
+    banned_edges = (data.draw(st.sets(st.sampled_from(list(lengths))))
+                    if lengths else set())
+    dist, best = graphops.dijkstra(adj, lengths, source, banned_nodes,
+                                   banned_edges)
+    for t in nodes:
+        try:
+            expected = reference_shortest_path(adj, lengths, source, t,
+                                               banned_nodes, banned_edges)
+        except UnreachablePair:
+            assert t not in best and t not in dist
+        else:
+            assert best[t] == expected
+            assert dist[t] == path_cost(lengths, expected)
+    assert set(dist) == set(best)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph=_directed_graphs())
+def test_min_cost_paths_matches_enumeration_property(graph):
+    adj, lengths = graph
+    radj, rlengths = graphops.reversed_graph(adj, lengths)
+    for t in adj:
+        dist_to = graphops.dijkstra(radj, rlengths, t)[0]
+        for s in adj:
+            if s == t:
+                continue
+            if not enumerate_simple_paths(adj, s, t):
+                with pytest.raises(UnreachablePair, match=f"{s} -> {t}"):
+                    graphops.min_cost_paths(adj, lengths, s, t, dist_to)
+            else:
+                assert (graphops.min_cost_paths(adj, lengths, s, t, dist_to)
+                        == brute_min_cost_set(adj, lengths, s, t))
+
+
 def test_unreachable_pair_raises():
     adj = {"a": ("b",), "b": (), "c": ("b",)}
     lengths = {("a", "b"): 1.0, ("c", "b"): 1.0}
     radj, rlengths = graphops.reversed_graph(adj, lengths)
-    assert "a" not in graphops.shortest_paths_avoiding(adj, lengths, "b")
-    assert "b" not in graphops.shortest_paths_avoiding(
-        adj, lengths, "a", banned_edges={("a", "b")})
+    assert "a" not in graphops.dijkstra(adj, lengths, "b")[1]
+    assert "b" not in graphops.dijkstra(
+        adj, lengths, "a", banned_edges={("a", "b")})[1]
     with pytest.raises(UnreachablePair):
         graphops.k_shortest_paths(adj, lengths, "a", ["c"], 3)
     with pytest.raises(UnreachablePair, match="c -> a"):
         graphops.k_shortest_paths(adj, lengths, "c", ["b", "a"], 3)
     with pytest.raises(UnreachablePair):
         graphops.min_cost_paths(adj, lengths, "a", "c",
-                                graphops.dijkstra(adj, lengths, "a")[0],
                                 graphops.dijkstra(radj, rlengths, "c")[0])
 
 
@@ -155,9 +199,3 @@ def test_shortcut_never_adds_edges():
         walk_edges = set(zip(walk, walk[1:]))
         for e in zip(cut, cut[1:]):
             assert e in walk_edges
-
-
-def test_concatenate_validates_junction():
-    assert graphops.concatenate(("a", "b"), ("b", "c")) == ("a", "b", "c")
-    with pytest.raises(ValueError):
-        graphops.concatenate(("a", "b"), ("c", "d"))
