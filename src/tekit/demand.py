@@ -194,17 +194,27 @@ def flash_burst(tm: TrafficMatrix, beta: float, elapsed: int,
     stays heavy.  Entries outside column s are unchanged; beta = 0 returns
     an equal matrix.
     """
+    return TrafficMatrix(tm.hosts,
+                         flash_burst_rates(tm, beta, [elapsed], sink)[0])
+
+
+def flash_burst_rates(tm: TrafficMatrix, beta: float, elapsed: Sequence[int],
+                      sink: str) -> np.ndarray:
+    """The rates of ``flash_burst`` for each step count in ``elapsed``, as
+    one (len(elapsed), n_hosts, n_hosts) block; each row is computed by the
+    same elementwise operations as a single burst."""
     si = tm.hosts.index(sink)
     col = tm.rates[:, si]
     col_sum = col.sum()
     if col_sum <= 0:
         raise NoEligibleSinkError(f"sink {sink} receives no traffic")
-    decay = FLASH_HALF_LIFE_STEPS / (FLASH_HALF_LIFE_STEPS + elapsed)
+    decay = FLASH_HALF_LIFE_STEPS / (FLASH_HALF_LIFE_STEPS
+                                     + np.asarray(elapsed, dtype=float))
     scale = beta * tm.total() / len(tm.hosts)
-    rates = tm.rates.copy()
-    rates[:, si] = col + decay * scale * (col / col_sum)
-    rates[si, si] = 0.0
-    return TrafficMatrix(tm.hosts, rates)
+    rates = np.repeat(tm.rates[None], len(decay), axis=0)
+    rates[:, :, si] = col + decay[:, None] * scale * (col / col_sum)
+    rates[:, si, si] = 0.0
+    return rates
 
 
 def perturb_for_prediction(state: GravityState, epsilon: float,

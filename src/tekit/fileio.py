@@ -7,7 +7,8 @@ Topology files are line oriented UTF-8::
     link <a> <b> cap=<float>bps [weight=<float>]
 
 Each node is declared once.  Each ``link`` line describes an undirected link
-and expands to two directed edges of equal capacity and weight.
+between two different nodes, once, and expands to two directed edges of
+equal capacity and weight.
 
 Traffic-matrix sequence files are UTF-8 too and hold one matrix per line:
 n_hosts^2 space-separated decimal rates in row-major order over the
@@ -36,6 +37,7 @@ class ParseError(ValueError):
 def parse_topology(text: str, name: str = "topology") -> Topology:
     nodes: dict[str, str] = {}
     edges: list[Edge] = []
+    links: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,6 +53,11 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
                 if len(parts) < 3:
                     raise ValueError("link needs two endpoints")
                 a, b = parts[1], parts[2]
+                if a == b:
+                    raise ValueError(f"link {a} {b} is a self-loop")
+                if link_key(a, b) in links:
+                    raise ValueError(f"link {a} {b} declared twice")
+                links.add(link_key(a, b))
                 cap = None
                 weight = 1.0
                 for tok in parts[3:]:
@@ -73,7 +80,11 @@ def parse_topology(text: str, name: str = "topology") -> Topology:
 
 def load_topology(path: str | FsPath) -> Topology:
     path = FsPath(path)
-    return parse_topology(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    return parse_topology(text, name=path.stem)
 
 
 def format_topology(topo: Topology) -> str:

@@ -19,12 +19,23 @@ never an error: ``demand_total`` is defined as delivered + congestion loss
 + failure loss, so conservation holds bit-exactly at every step.
 
 Each installed scheme is flattened once into a ``PathTable`` (per matrix,
-and again after each flash re-balance), and each step is array work over
-it: ``_water_fill`` fills every link in lockstep.  Its order is the
-specification of the results: a link serves its requests by increasing
-request, ties broken by ``str`` of the live flow's index (flow 10 before
-flow 2), and every total is a left fold, a link's in service order and
-the step's in flow order.
+and again after each flash re-balance).  Between two installs the steps
+differ only in their demand, so ``_propagate`` takes a block of steps, one
+demand row each, and ``_water_fill`` fills every (step, link) lane of the
+block in one pass.  A steady matrix is one block of one row; a flash
+matrix's re-balance periods are cut into blocks of at most
+``_BLOCK_HOP_ENTRIES`` hop entries.  The fill's order is the specification
+of the results: the step is the primary key, so no step sees another's
+requests; a link serves its requests by increasing request, ties broken by
+``str`` of the live flow's index within its step (flow 10 before flow 2);
+and every total is a left fold, a link's in service order and the step's
+in flow order.  How steps are blocked therefore never changes a bit.
+
+The report is columnar (``StepBlock``): per matrix, the per-edge
+utilization (steps x edges), the delivered, lost and demanded totals per
+step and the latency bins, a steady matrix as one row standing for all of
+its steps.  ``metrics_rollup`` folds these arrays in step order;
+``StepMetrics`` objects are built only when ``SimReport.steps`` is read.
 
 Latency is propagation-only (sum of latency weights along the path),
 recorded as a delivered-bits histogram.  The report carries the driver's
@@ -36,14 +47,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import algorithms
 from .baseline import spf
-from .demand import flash_burst, flash_sink
+from .demand import flash_burst, flash_burst_rates, flash_sink
 from .mcf import MwConfig, evaluate_scheme
 from .model import (AlgorithmKind, Scheme, Topology, TopologyError,
                     TrafficMatrix, both_directions, churn, normalized,
@@ -95,6 +106,13 @@ class SimConfig(algorithms.BuildConfig):
             raise ValueError(f"recovery must be one of {RECOVERY_MODES}")
 
 
+#: Bound on the entries one ``_propagate`` call works on: steps x (the
+#: path table's hops + its rows).  A longer stretch of flash steps is cut
+#: into blocks of at most this many entries, so memory stays flat however
+#: long a re-balance period is.
+_BLOCK_HOP_ENTRIES = 1 << 14
+
+
 @dataclass
 class StepMetrics:
     per_edge_congestion: dict[tuple[str, str], float]
@@ -105,17 +123,68 @@ class StepMetrics:
     demand_total: float
 
 
+@dataclass(eq=False)
+class StepBlock:
+    """Fluid steps as columns, one row per step: a ``_propagate`` block, or
+    all of one matrix's steps.
+
+    ``util`` is each edge's congestion (rows x edges, columns in
+    ``edge_keys`` order).  The latency bins are flat: row i owns the next
+    ``lat_count[i]`` entries of ``lat_value`` (a path latency weight) and
+    ``lat_bits`` (the bits delivered at it), in the order the step first
+    saw each latency.  The rows stand for ``repeat`` copies of themselves in
+    sequence; a steady matrix is one row repeated for all of its steps.
+    """
+
+    edge_keys: tuple[tuple[str, str], ...]
+    util: np.ndarray
+    delivered: np.ndarray
+    congestion_loss: np.ndarray
+    failure_loss: np.ndarray
+    demand_total: np.ndarray
+    lat_count: np.ndarray
+    lat_value: np.ndarray
+    lat_bits: np.ndarray
+    repeat: int = 1
+
+    @classmethod
+    def concat(cls, blocks: Sequence[StepBlock]) -> StepBlock:
+        """The blocks' rows in sequence (each block has ``repeat`` 1)."""
+        columns = [np.concatenate([getattr(b, f.name) for b in blocks])
+                   for f in fields(cls) if f.name not in ("edge_keys",
+                                                           "repeat")]
+        return cls(blocks[0].edge_keys, *columns)
+
+    def views(self) -> list[StepMetrics]:
+        """One ``StepMetrics`` per row, the list repeated ``repeat`` times:
+        a repeated row is one object."""
+        value, bits = self.lat_value.tolist(), self.lat_bits.tolist()
+        ends = np.cumsum(self.lat_count).tolist()
+        rows = zip(self.util.tolist(), self.delivered.tolist(),
+                   self.congestion_loss.tolist(), self.failure_loss.tolist(),
+                   self.demand_total.tolist(), [0] + ends[:-1], ends)
+        return [StepMetrics(dict(zip(self.edge_keys, util)), d, cl, fl,
+                            dict(zip(value[a:b], bits[a:b])), dt)
+                for util, d, cl, fl, dt, a, b in rows] * self.repeat
+
+
 @dataclass
 class SimReport:
     algorithm: str
     topology: str
     num_tms: int
     steps_per_tm: int
-    steps: list[list[StepMetrics]]          # [tm][step]
+    matrices: list[StepBlock]               # [tm], each steps_per_tm steps
     failures: list[tuple[tuple[str, str], ...]]
     churn_timeline: list[int]               # installed-path churn per TM
     installed_paths: list[int]              # installed path count per TM
     solves: list[algorithms.Solve] = field(default_factory=list)
+
+    @functools.cached_property
+    def steps(self) -> list[list[StepMetrics]]:
+        """[tm][step] views of ``matrices``, built once on first read; the
+        steps of a steady matrix are one aliased object."""
+        return [block.views() for block in self.matrices]
 
     def serialize(self) -> str:
         """Canonical text form, excluding wall-clock timings."""
@@ -340,61 +409,84 @@ class PathTable:
         self.hop_row = np.repeat(np.arange(len(cell)), self.hop_count)
 
 
-def _fold(values: np.ndarray) -> float:
-    """The left-to-right sum from 0.0 that a Python loop makes; ``np.sum``
-    adds pairwise, ``np.cumsum`` and ``np.bincount`` add in order."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+def _fold(values: np.ndarray) -> np.ndarray:
+    """The left-to-right sums from 0.0 along the last axis that a Python
+    loop makes; ``np.sum`` adds pairwise, ``np.cumsum`` adds in order.
+    The result is a copy, not a view that would hold every partial sum."""
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return np.cumsum(values, axis=-1)[..., -1].copy()
 
 
-def _propagate(table: PathTable, tm: TrafficMatrix) -> StepMetrics:
-    """One fluid step: route, allocate per link, account losses exactly.
+def _hop_requests(table: PathTable, live: np.ndarray, rate: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every hop of a live flow, step-major and in flow order: its lane
+    (step * edges + edge), its request and its flow's index within the
+    step."""
+    step, entry = np.nonzero(live[:, table.hop_row])
+    owner = table.hop_row[entry]
+    return (step * len(table.edge_keys) + table.hops[entry],
+            rate[step, owner], (np.cumsum(live, axis=1) - 1)[step, owner])
 
-    Every live flow (a live row with non-zero demand) requests demand *
-    probability on each of its hops.  Each link serves its requests in
-    (request, ``str(live flow index)``) order by ``_water_fill``; a flow
-    delivers its smallest grant.  The totals are left folds in flow order,
-    so the results do not depend on how numpy sums.
+
+def _propagate(table: PathTable, rates: np.ndarray) -> StepBlock:
+    """A block of fluid steps under one path table, one per demand row of
+    ``rates`` (steps x hosts x hosts): route, allocate per link, account
+    losses exactly.
+
+    In each step every live flow (a live row with non-zero demand)
+    requests demand * probability on each of its hops.  All (step, link)
+    lanes are filled by one ``_water_fill``: lane = step * edges + edge,
+    each serving its requests in (request, ``str(live flow index)``) order,
+    the index counted within the step; a flow delivers its smallest grant.
+    A step's totals are left folds over its flows in order (a flow that is
+    not live adds 0.0, which leaves a fold unchanged), so no result depends
+    on how numpy sums or on how the steps are blocked.
     """
-    if tm.hosts != table.hosts:
+    n = len(table.hosts)
+    if rates.shape[1:] != (n, n):
         raise ValueError("matrix hosts differ from the path table's")
-    demand = tm.rates.ravel()[table.cell]
+    steps, n_edges = len(rates), len(table.edge_keys)
+    demand = rates.reshape(steps, n * n)[:, table.cell]  # steps x rows
     rate = demand * table.prob
     offered = demand != 0
     live = offered & ~table.dead
-    rows = np.flatnonzero(live)
-    util = np.zeros(len(table.edge_keys))
-    got = np.empty(0)
-    if len(rows):
-        entries = np.flatnonzero(live[table.hop_row])
-        edge = table.hops[entries]
-        owner = table.hop_row[entries]
-        req = rate[owner]
-        index = (np.cumsum(live) - 1)[owner]  # live flow index
-        order = np.lexsort((_flow_rank(len(rows))[index], req, edge))
-        links, counts = np.unique(edge[order], return_counts=True)
-        cap = table.capacity[links]
+    got = np.zeros((steps, len(table.cell)))
+    util = np.zeros((steps, n_edges))
+    flow_step, flow = np.nonzero(live)  # step-major, rows in table order
+    if len(flow):
+        lane, req, index = _hop_requests(table, live, rate)
+        # str order of two indices does not depend on how many flows share
+        # the step, so the longest step's ranks order every step's flows
+        order = np.lexsort((_flow_rank(int(live.sum(axis=1).max()))[index],
+                            req, lane))
+        lanes, counts = np.unique(lane[order], return_counts=True)
+        cap = table.capacity[lanes % n_edges]
         give, total = _water_fill(cap, req[order], counts)
         grant = np.empty(len(give))
         grant[order] = give
-        first = np.cumsum(table.hop_count[rows]) - table.hop_count[rows]
-        got = np.minimum.reduceat(grant, first)
-        util[links] = total / cap
+        hops = table.hop_count[flow]
+        got[flow_step, flow] = np.minimum.reduceat(grant, np.cumsum(hops)
+                                                   - hops)
+        util.ravel()[lanes] = total / cap
 
-    # latency samples: per latency weight, keys in first-seen flow order
-    carried = got > 0
-    lat, seen, key = np.unique(table.weight[rows[carried]], return_index=True,
-                               return_inverse=True)
-    bits = np.bincount(key, weights=got[carried], minlength=len(lat))
+    # latency bins: per step and latency weight, keys in first-seen order
+    bin_step, carrier = np.nonzero(got > 0)
+    lat, key = np.unique(table.weight[carrier], return_inverse=True)
+    width = max(len(lat), 1)
+    bins, seen, slot = np.unique(bin_step * width + key, return_index=True,
+                                 return_inverse=True)
+    bits = np.bincount(slot, weights=got[bin_step, carrier],
+                       minlength=len(bins))
     keep = np.argsort(seen)
-    latency = dict(zip(lat[keep].tolist(), bits[keep].tolist()))
-    delivered_total = _fold(got)
-    congestion_total = _fold(rate[rows] - got)
-    failure_total = _fold(rate[offered & table.dead])
+    delivered = _fold(got)
+    congestion = _fold(np.where(live, rate - got, 0.0))
+    failure = _fold(np.where(offered & table.dead, rate, 0.0))
     # demand_total is the sum of its parts, making conservation bit-exact
-    demand_total = delivered_total + congestion_total + failure_total
-    return StepMetrics(dict(zip(table.edge_keys, util.tolist())),
-                       delivered_total, congestion_total, failure_total,
-                       latency, demand_total)
+    return StepBlock(table.edge_keys, util, delivered, congestion, failure,
+                     delivered + congestion + failure,
+                     np.bincount(bins // width, minlength=steps),
+                     lat[bins[keep] % width], bits[keep])
 
 
 def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
@@ -430,7 +522,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
 
     driver = algorithms.SchemeDriver(topo, kind, list(predicted_tms), cfg)
 
-    steps_out: list[list[StepMetrics]] = []
+    matrices: list[StepBlock] = []
     churn_tl: list[int] = []
     paths_tl: list[int] = []
     prev_installed: Scheme | None = None
@@ -468,35 +560,40 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
 
         table = PathTable(topo, scheme, atm.hosts, dead)
         if cfg.flash_beta == 0:
-            metrics = _propagate(table, atm)
-            steps_out.append([metrics] * cfg.steps_per_tm)
+            block = _propagate(table, atm.rates[None])
+            matrices.append(replace(block, repeat=cfg.steps_per_tm))
             continue
 
         sink = flash_sink(atm, cfg.seed, t)
         rebalance = cfg.recovery != "none" and kind.category != "oblivious"
         live = _surviving(installed, dead) if rebalance else None
-        tm_steps: list[StepMetrics] = []
-        for step in range(cfg.steps_per_tm):
-            demand = flash_burst(atm, cfg.flash_beta, step, sink)
-            if (rebalance and step > 0
-                    and step % cfg.flash_recovery_period == 0):
+        period = cfg.flash_recovery_period if rebalance else cfg.steps_per_tm
+        blocks: list[StepBlock] = []
+        for begin in range(0, cfg.steps_per_tm, period):
+            if begin > 0:
                 if kind.tag == "optimalmcf":
                     step_scheme = driver.solve_conscious(
-                        topo_t, demand,
-                        f"{kind.name} flash solve tm{t} step{step}")
+                        topo_t, flash_burst(atm, cfg.flash_beta, begin, sink),
+                        f"{kind.name} flash solve tm{t} step{begin}")
                 else:
-                    lag = max(0, step - cfg.flash_lag)
+                    lag = max(0, begin - cfg.flash_lag)
                     observed = flash_burst(atm, cfg.flash_beta, lag, sink)
                     step_scheme = driver.timed(
-                        f"{kind.name} flash reweight tm{t} step{step}",
+                        f"{kind.name} flash reweight tm{t} step{begin}",
                         lambda: algorithms.reweight(topo, live, observed,
                                                     cfg.mw))
                 table = PathTable(topo, step_scheme, atm.hosts, dead)
-            tm_steps.append(_propagate(table, demand))
-        steps_out.append(tm_steps)
+            end = min(begin + period, cfg.steps_per_tm)
+            entries = max(1, len(table.hops) + len(table.cell))
+            rows = max(1, _BLOCK_HOP_ENTRIES // entries)
+            for first in range(begin, end, rows):
+                elapsed = range(first, min(first + rows, end))
+                blocks.append(_propagate(table, flash_burst_rates(
+                    atm, cfg.flash_beta, elapsed, sink)))
+        matrices.append(StepBlock.concat(blocks))
 
     return SimReport(kind.name, topo.name, num_tms, cfg.steps_per_tm,
-                     steps_out, failures, churn_tl, paths_tl, driver.solves)
+                     matrices, failures, churn_tl, paths_tl, driver.solves)
 
 
 @dataclass
@@ -525,26 +622,14 @@ def metrics_rollup(report: SimReport) -> Summary:
     """Aggregate a run: fractions of demand delivered/lost, congestion
     statistics, the delivered-bits latency CDF and churn.
     A run with zero demand counts as throughput fraction 1."""
-    delivered = closs = floss = demand = 0.0
-    max_cong_per_tm = []
-    latency: dict[float, float] = {}
-    per_tm = []
-    for t, steps in enumerate(report.steps):
-        d = cl = fl = dt = 0.0
-        mc = 0.0
-        for m in steps:
-            d += m.delivered
-            cl += m.congestion_loss
-            fl += m.failure_loss
-            dt += m.demand_total
-            if m.per_edge_congestion:
-                mc = max(mc, max(m.per_edge_congestion.values()))
-            for lat, bits in m.latency_samples.items():
-                latency[lat] = latency.get(lat, 0.0) + bits
-        delivered += d
-        closs += cl
-        floss += fl
-        demand += dt
+    blocks = report.matrices
+    sums, max_cong_per_tm, per_tm = [], [], []
+    for t, block in enumerate(blocks):
+        columns = np.stack((block.delivered, block.congestion_loss,
+                            block.failure_loss, block.demand_total))
+        d, cl, fl, dt = _fold(np.tile(columns, block.repeat)).tolist()
+        sums.append((d, cl, fl, dt))
+        mc = float(block.util.max(initial=0.0))
         max_cong_per_tm.append(mc)
         per_tm.append({
             "tm": t,
@@ -556,6 +641,26 @@ def metrics_rollup(report: SimReport) -> Summary:
             "installed_paths": report.installed_paths[t],
             "failed_links": ";".join(f"{a}-{b}" for (a, b) in report.failures[t]),
         })
+    delivered, closs, floss, demand = _fold(
+        np.array(sums).reshape(-1, 4).T).tolist()
+
+    # per latency, the left fold of its bits over every step; the keys in
+    # the order the run first saw them
+    entries = np.concatenate([np.empty(0)] + [b.lat_value for b in blocks])
+    values, first, key = np.unique(entries, return_index=True,
+                                   return_inverse=True)
+    bits = np.zeros(len(values))
+    end = 0
+    for block in blocks:
+        begin, end = end, end + len(block.lat_value)
+        used, column = np.unique(key[begin:end], return_inverse=True)
+        grid = np.zeros((len(block.lat_count), len(used)))
+        grid[np.repeat(np.arange(len(block.lat_count)), block.lat_count),
+             column] = block.lat_bits
+        bits[used] = _fold(np.vstack((bits[used],
+                                      np.tile(grid, (block.repeat, 1)))).T)
+    keep = np.argsort(first)
+    latency = dict(zip(values[keep].tolist(), bits[keep].tolist()))
     total_bits = sum(latency.values())
     cdf = []
     acc = 0.0

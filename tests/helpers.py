@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own routing machinery:
 shortest paths come from exhaustive simple-path enumeration, and the
 min-max-congestion reference solves the full path-based LP with scipy's
 simplex-free HiGHS backend.  ``reference_propagate`` is the fluid step
-written with per-link dicts, the specification the array step reproduces.
+written with per-link dicts, the specification the array step reproduces;
+``reference_rollup`` folds a report's per-step dicts with ``+=``, the
+specification of the columnar rollup.
 ``reference_k_shortest_paths`` is Yen's algorithm run pair by pair, each
 spur search stopping at the target, the specification the per-source Yen
 reproduces.
@@ -249,3 +251,22 @@ def reference_propagate(topo, scheme, tm, dead):
     demand_total = delivered_total + congestion_total + failure_total
     return StepMetrics(util, delivered_total, congestion_total, failure_total,
                        latency, demand_total)
+
+
+def reference_rollup(report):
+    """Per matrix (delivered, congestion loss, failure loss, demand, max
+    congestion) and the run's latency bins, each a ``+=`` loop over the
+    report's ``StepMetrics`` in step order."""
+    per_tm, latency = [], {}
+    for steps in report.steps:
+        d = cl = fl = dt = mc = 0.0
+        for m in steps:
+            d += m.delivered
+            cl += m.congestion_loss
+            fl += m.failure_loss
+            dt += m.demand_total
+            mc = max(mc, max(m.per_edge_congestion.values()))
+            for lat, bits in m.latency_samples.items():
+                latency[lat] = latency.get(lat, 0.0) + bits
+        per_tm.append((d, cl, fl, dt, mc))
+    return per_tm, latency

@@ -288,6 +288,19 @@ def test_bad_topology_line_exits_2(command, tmp_path, capsys):
         "error: topology: bad:3: link needs two endpoints\n")
 
 
+@pytest.mark.parametrize("command", ["run", "gen-demands"])
+def test_non_utf8_topology_exits_2(command, tmp_path, capsys):
+    topo = tmp_path / "bad.topo"
+    topo.write_bytes(b"\xff\xfenode s1 switch\n")
+    args = {"run": ["--tms", "x", "--pred", "y", "--algos", "spf"],
+            "gen-demands": ["--num-tms", "1"]}[command]
+    rc = main([command, "--topo", str(topo), "--out",
+               str(tmp_path / "r")] + args)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: topology: {topo}: not UTF-8 text\n")
+
+
 def test_run_non_utf8_matrices_exit_2(topo_path, tmp_path, capsys):
     tms = tmp_path / "bad.tms"
     tms.write_bytes(b"\xff\xfe" + b"0 " * 144 + b"\n")

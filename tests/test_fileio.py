@@ -108,6 +108,12 @@ def test_parse_errors(bad, msg):
     ("node a switch\nnode a switch", "t:2", "node a declared twice"),
     ("node h host\nnode s switch\n# again\nnode h switch", "t:4",
      "node h declared twice"),
+    ("node a switch\nnode b switch\nlink a a cap=1bps", "t:3",
+     "link a a is a self-loop"),
+    ("node a switch\nnode b switch\nlink a b cap=1bps\nlink a b cap=2bps",
+     "t:4", "link a b declared twice"),
+    ("node a switch\nnode b switch\nlink a b cap=1bps\n\nlink b a cap=1bps",
+     "t:5", "link b a declared twice"),
 ])
 def test_parse_errors_name_file_and_line(bad, where, msg):
     with pytest.raises(ParseError, match=f"^{where}: {msg}$"):

@@ -17,7 +17,7 @@ from tekit.sim import InfeasibleFailureError, PathTable, report_to_csv
 
 from conftest import TIED_LENGTHS, build_topology, tm_of
 from helpers import (enumerate_simple_paths, reference_propagate,
-                     reference_water_fill)
+                     reference_rollup, reference_water_fill)
 
 
 # -- max-min fair allocation -----------------------------------------------
@@ -108,9 +108,10 @@ _WEIGHTS = st.sampled_from([0.1, 0.25, 1.0, 1.7, 3.0, 8.5])
 
 @st.composite
 def _fluid_steps(draw):
-    """A random topology, scheme, failure set and matrix: missing pairs,
-    empty distributions, zero demands, dead links, and host stubs that
-    carry up to 15 tied flows."""
+    """A random topology, scheme, failure set and a block of 1-4 matrices:
+    missing pairs, empty distributions, dead links, host stubs that carry
+    up to 15 tied flows, and zero demands, so that the steps of a block
+    have different live flows."""
     n = draw(st.integers(2, 6) | st.just(6))
     names = [f"n{i}" for i in range(n)]
     links = {(names[draw(st.integers(0, i - 1))], names[i])
@@ -150,26 +151,31 @@ def _fluid_steps(draw):
     dead = both_directions(draw(st.lists(st.sampled_from(topo.links()),
                                          unique=True, max_size=2)))
     demand = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]) | st.floats(0.0, 10.0)
-    tm = tm_of(topo, {(s, d): draw(demand) for s in topo.hosts
-                      for d in topo.hosts if s != d})
-    return topo, scheme, dead, tm
+    tms = [tm_of(topo, {(s, d): draw(demand) for s in topo.hosts
+                        for d in topo.hosts if s != d})
+           for _ in range(draw(st.integers(1, 4)))]
+    return topo, scheme, dead, tms
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_fluid_steps())
 def test_propagate_matches_dict_reference(case):
-    """The array step equals the per-link dict step field by field: the
-    same floats, the same reprs, the same dict order."""
-    topo, scheme, dead, tm = case
-    got = sim._propagate(PathTable(topo, scheme, tm.hosts, dead), tm)
-    want = reference_propagate(topo, scheme, tm, dead)
-    assert repr(got) == repr(want)
-    assert list(got.per_edge_congestion) == list(want.per_edge_congestion)
-    assert list(got.latency_samples) == list(want.latency_samples)
-    for value in (got.delivered, got.congestion_loss, got.failure_loss,
-                  got.demand_total, *got.per_edge_congestion.values(),
-                  *got.latency_samples, *got.latency_samples.values()):
-        assert type(value) is float
+    """Each row of a block of array steps equals the per-link dict step of
+    its matrix field by field: the same floats, the same reprs, the same
+    dict order."""
+    topo, scheme, dead, tms = case
+    table = PathTable(topo, scheme, tms[0].hosts, dead)
+    block = sim._propagate(table, np.stack([tm.rates for tm in tms]))
+    assert block.repeat == 1
+    for got, tm in zip(block.views(), tms, strict=True):
+        want = reference_propagate(topo, scheme, tm, dead)
+        assert repr(got) == repr(want)
+        assert list(got.per_edge_congestion) == list(want.per_edge_congestion)
+        assert list(got.latency_samples) == list(want.latency_samples)
+        for value in (got.delivered, got.congestion_loss, got.failure_loss,
+                      got.demand_total, *got.per_edge_congestion.values(),
+                      *got.latency_samples, *got.latency_samples.values()):
+            assert type(value) is float
 
 
 def test_propagate_ties_by_flow_index_text():
@@ -182,7 +188,8 @@ def test_propagate_ties_by_flow_index_text():
                                    for i, b in enumerate(spokes)})
     scheme = tekit.spf(topo)
     tm = tm_of(topo, {("h_a", f"h_{b}"): 1.0 for b in spokes})
-    got = sim._propagate(PathTable(topo, scheme, tm.hosts, frozenset()), tm)
+    table = PathTable(topo, scheme, tm.hosts, frozenset())
+    [got] = sim._propagate(table, tm.rates[None]).views()
     want = reference_propagate(topo, scheme, tm, frozenset())
     # each flow has its own latency, so the samples show who got which grant
     assert len(set(want.latency_samples.values())) > 1
@@ -426,7 +433,7 @@ def test_flash_recovery_reweights(abilene):
 
 
 def test_path_table_built_once_per_installed_scheme(abilene, monkeypatch):
-    """N flash steps run N fluid steps per matrix.  The path table is built
+    """N flash steps run N block rows per matrix.  The path table is built
     once per matrix for an oblivious kind, and again after each of a
     semi-oblivious kind's re-balances, never per step."""
     builds, steps = [], []
@@ -437,9 +444,9 @@ def test_path_table_built_once_per_installed_scheme(abilene, monkeypatch):
             builds.append(1)
             super().__init__(*args)
 
-    def counting_propagate(table, tm):
-        steps.append(table)
-        return propagate(table, tm)
+    def counting_propagate(table, rates):
+        steps.extend([table] * len(rates))
+        return propagate(table, rates)
 
     monkeypatch.setattr(sim, "PathTable", CountingTable)
     monkeypatch.setattr(sim, "_propagate", counting_propagate)
@@ -456,6 +463,37 @@ def test_path_table_built_once_per_installed_scheme(abilene, monkeypatch):
         assert len(steps) == n * len(tms), algo
         assert len(builds) == per_tm * len(tms), algo
         assert len({id(table) for table in steps}) == len(builds), algo
+
+
+def test_flash_blocks_cut_by_the_bound_match_one_row_blocks(abilene,
+                                                             monkeypatch):
+    """A re-balance period longer than the block bound runs as several
+    blocks, and the report is the one of stepping every row as its own
+    block: the same serialization and the same rollup."""
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=6), 6e9)
+    cfg = SimConfig(steps_per_tm=70, seed=2, budget=3, recovery="local",
+                    flash_beta=3.0, flash_lag=5, flash_recovery_period=60)
+    rows = []
+    propagate = sim._propagate
+
+    def recording_propagate(table, rates):
+        rows.append(len(rates))
+        return propagate(table, rates)
+
+    monkeypatch.setattr(sim, "_propagate", recording_propagate)
+    for algo in ("ecmp", "semimcfraecke"):
+        rows.clear()
+        blocked = simulate(abilene, algo, [tm], [tm], cfg)
+        periods = 1 if algo == "ecmp" else 2
+        assert len(rows) > periods and max(rows) > 1, (algo, rows)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_BLOCK_HOP_ENTRIES", 1)
+            rows.clear()
+            single = simulate(abilene, algo, [tm], [tm], cfg)
+            assert rows == [1] * cfg.steps_per_tm
+        assert blocked.serialize() == single.serialize()
+        assert (report_to_csv(metrics_rollup(blocked))
+                == report_to_csv(metrics_rollup(single)))
 
 
 def test_flash_after_global_recovery_uses_recomputed_base(abilene,
@@ -525,6 +563,38 @@ def test_rollup_conservation_fractions(abilene):
     csv = report_to_csv(s)
     assert "throughput_fraction" in csv
     assert csv.count("\n") >= rep.num_tms
+
+
+@pytest.mark.parametrize("algo, flash_beta", [
+    ("ecmp", 0.0), ("semimcfraecke", 0.0), ("ecmp", 3.0),
+    ("semimcfraecke", 3.0)])
+def test_rollup_matches_step_loop(abilene, algo, flash_beta):
+    """The columnar rollup equals ``+=`` over the per-step views, bit for
+    bit: steady matrices (one row standing for every step), flash matrices
+    with re-balances, and a failed link."""
+    state = GravityState.initial(abilene.hosts, seed=8)
+    tms = [gravity_tm(state, 6e9), gravity_tm(mh_step(state), 6e9)]
+    cfg = SimConfig(steps_per_tm=30, phi=1, recovery="local", seed=4,
+                    budget=3, flash_beta=flash_beta, flash_recovery_period=12)
+    rep = simulate(abilene, algo, tms, tms, cfg)
+    summary = metrics_rollup(rep)
+    per_tm, latency = reference_rollup(rep)
+    for row, (d, cl, fl, dt, mc) in zip(summary.per_tm, per_tm, strict=True):
+        assert row["throughput_fraction"] == d / dt
+        assert row["congestion_loss_fraction"] == cl / dt
+        assert row["failure_loss_fraction"] == fl / dt
+        assert row["max_congestion"] == mc
+    total, cdf = sum(latency.values()), []
+    acc = 0.0
+    for lat in sorted(latency):
+        acc += latency[lat]
+        cdf.append((lat, acc / total))
+    assert summary.latency_cdf == tuple(cdf)
+    delivered = demand = 0.0
+    for d, _, _, dt, _ in per_tm:
+        delivered += d
+        demand += dt
+    assert summary.throughput_fraction == delivered / demand
 
 
 def test_report_csv_per_tm_rows(line4):
