@@ -5,8 +5,10 @@ oblivious algorithms build one scheme from the topology and never touch it;
 fixed-path adaptive algorithms build a base path set once and re-balance its
 weights per traffic matrix; conscious algorithms recompute paths and weights
 every matrix; the omniscient baseline recomputes on the live (possibly
-failure-reduced) topology from the actual demands.  Budgets prune oblivious
-schemes and adaptive bases once, and conscious schemes on every recompute.
+failure-reduced) topology from the actual demands.  Oblivious builders take
+the budget themselves and cut each switch pair before the host stubs go
+on; bases solved from predictions are pruned once, and conscious schemes
+on every recompute.
 
 Every solve leaves one ``Solve`` record on ``SchemeDriver.solves``: its
 label, wall time and, if the solver stopped at its phase limit, the limit's
@@ -59,18 +61,19 @@ def limit_events(solves: Sequence[Solve]) -> list[str]:
 
 
 def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
-    """Build one of the demand-independent schemes."""
+    """Build one of the demand-independent schemes, cut to ``cfg.budget``
+    paths per pair."""
     if tag == "spf":
         return baseline.spf(topo)
     if tag == "ecmp":
-        return baseline.ecmp(topo)
+        return baseline.ecmp(topo, cfg.budget)
     if tag == "ksp":
-        return baseline.ksp(topo)
+        return baseline.ksp(topo, budget=cfg.budget)
     if tag == "vlb":
-        return baseline.vlb(topo)
+        return baseline.vlb(topo, cfg.budget)
     if tag == "raecke":
         dist = raecke.raecke_distribution(topo, cfg.seed)
-        return raecke.paths_from_distribution(dist, topo)
+        return raecke.paths_from_distribution(dist, topo, cfg.budget)
     raise ValueError(f"not an oblivious algorithm: {tag}")
 
 
@@ -106,12 +109,12 @@ class SchemeDriver:
         self.base: Scheme | None = None
 
         name, tag = kind.name, kind.tag
-        label = f"{name} base"
         if kind.category == "oblivious":
-            label = f"{name} build"
-            builder = lambda: oblivious_scheme(tag, topo, cfg)
+            self.base = self.timed(f"{name} build",
+                                   lambda: oblivious_scheme(tag, topo, cfg))
         elif kind.base in OBLIVIOUS_TAGS:
-            builder = lambda: oblivious_scheme(kind.base, topo, cfg)
+            self.base = self.timed(
+                f"{name} base", lambda: oblivious_scheme(kind.base, topo, cfg))
         elif kind.base is not None:  # a base solved from the predictions
             if not predicted_tms:
                 raise ValueError(f"{name} needs a predicted matrix")
@@ -122,9 +125,8 @@ class SchemeDriver:
                                          cfg.mw).scheme,
                 "mcfftenv": lambda: semi_mcf_ft_env(topo, tms, cfg.mw),
             }[kind.base]
-        else:  # conscious kinds (mcf, optimalmcf) build per matrix
-            return
-        self.base = self._budgeted(self.timed(label, builder))
+            self.base = self._budgeted(self.timed(f"{name} base", builder))
+        # conscious kinds (mcf, optimalmcf) build per matrix
 
     def timed(self, label: str, fn):
         """Run one solve and append its ``Solve`` record; a solve stopped

@@ -2,9 +2,11 @@
 routing through random intermediates (VLB).
 
 All four consume only the topology (never demands) and route switch pairs
-on the switch subgraph under latency weights; ``model.lift`` attaches the
-host stubs.  Outputs are deterministic: equal-cost alternatives are
-resolved by hop count and then lexicographic node sequence.
+on the switch subgraph under latency weights; ``model.lift`` cuts each
+switch pair to the optional path ``budget`` (``spf`` needs none) and
+attaches the host stubs.  Outputs are deterministic: equal-cost
+alternatives are resolved by hop count and then lexicographic node
+sequence.
 """
 
 from __future__ import annotations
@@ -31,24 +33,27 @@ def _uniform(paths: list[Path]) -> dict[Path, float]:
 
 
 def spf(topo: Topology) -> Scheme:
-    """One shortest path per pair, probability 1."""
+    """One shortest path per pair, probability 1: every budget keeps it."""
     best = _shortest(topo)
     return lift(topo, lambda s, d: {best[s][d]: 1.0})
 
 
-def ecmp(topo: Topology) -> Scheme:
-    """Every minimum-cost simple path per pair, uniform probabilities."""
+def ecmp(topo: Topology, budget: int | None = None) -> Scheme:
+    """Every minimum-cost simple path per pair, uniform probabilities
+    (before the budget cut)."""
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     radj, rlengths = graphops.reversed_graph(adj, lengths)
     dist_to = {d: graphops.dijkstra(radj, rlengths, d)[0]
                for d in topo.switches}
     return lift(topo, lambda s, d: _uniform(graphops.min_cost_paths(
-        adj, lengths, s, d, dist_to[d])))
+        adj, lengths, s, d, dist_to[d])), budget)
 
 
-def ksp(topo: Topology, k: int = KSP_PATHS) -> Scheme:
-    """The k shortest loopless paths per pair, uniform probabilities.
+def ksp(topo: Topology, k: int = KSP_PATHS, budget: int | None = None
+        ) -> Scheme:
+    """The k shortest loopless paths per pair, uniform probabilities
+    (before the budget cut, which keeps the lexicographically smallest).
 
     Pairs with fewer than k distinct simple paths keep what exists.  Yen
     runs once per source switch, over every switch that serves a host, so
@@ -64,20 +69,24 @@ def ksp(topo: Topology, k: int = KSP_PATHS) -> Scheme:
         return graphops.k_shortest_paths(
             adj, lengths, s, [t for t in served if t != s], k)
 
-    return lift(topo, lambda s, d: _uniform(paths_from(s)[d]))
+    return lift(topo, lambda s, d: _uniform(paths_from(s)[d]), budget)
 
 
-def vlb(topo: Topology) -> Scheme:
+def vlb(topo: Topology, budget: int | None = None) -> Scheme:
     """Route via every possible intermediate switch, splitting uniformly.
 
     For a pair on switches (S, T), each intermediate i not in {S, T}
     contributes the concatenation of the shortest S->i and i->T paths,
-    loop-shortcut to a simple path.  Concatenations that collapse to the
-    same simple path merge by summing their probability shares.  Pairs with
-    no available intermediate (same switch, or a two-switch network) fall
-    back to the direct shortest path.
+    loop-shortcut to a simple path.  Both halves are simple, so the
+    shortcut is the join ``P[:a] + Q[b:]`` at the first node of P that Q
+    visits; each shortest path's position map is built once.
+    Concatenations that collapse to the same simple path merge by summing
+    their probability shares.  Pairs with no available intermediate (same
+    switch, or a two-switch network) fall back to the direct shortest path.
     """
     best = _shortest(topo)
+    at = {i: {d: graphops.positions(q) for d, q in row.items()}
+          for i, row in best.items()}
 
     def route(s: str, d: str) -> dict[Path, float]:
         intermediates = [i for i in topo.switches if i not in (s, d)]
@@ -86,8 +95,10 @@ def vlb(topo: Topology) -> Scheme:
         share = 1.0 / len(intermediates)
         dist: dict[Path, float] = {}
         for i in intermediates:
-            path = graphops.shortcut(best[s][i] + best[i][d][1:])
+            head = best[s][i]
+            a, b = graphops.meet(head, at[i][d])
+            path = head[:a] + best[i][d][b:]
             dist[path] = dist.get(path, 0.0) + share
         return normalized(dist)
 
-    return lift(topo, route)
+    return lift(topo, route, budget)

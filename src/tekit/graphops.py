@@ -51,11 +51,13 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths, source: str,
     never entering a banned node or following a banned directed edge (the
     source itself must not be banned).
 
-    Returns (distance, best_path) maps; unreachable nodes are missing.  The
-    heap entries carry the full candidate path so equal-cost alternatives
-    resolve by hop count and then lexicographic node sequence.  A node's
-    path is its first pop, the minimum (cost, hops, sequence) entry, so a
-    search stopped there would return the same path.
+    Returns (distance, best_path) maps; unreachable nodes are missing.  A
+    heap entry is (cost, hops, parent's path, node): equal-hop entries have
+    equal-length parent paths, so they compare exactly as their full paths
+    would, and equal-cost alternatives resolve by hop count and then
+    lexicographic node sequence.  A node's path is built once, at its
+    first pop, the minimum (cost, hops, sequence) entry, so a search
+    stopped there would return the same path.
     """
     dist: dict[str, float] = {}
     best: dict[str, Path] = {}
@@ -65,19 +67,18 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths, source: str,
     skips: dict[str, set[str]] = {}
     for u, v in banned_edges:
         skips.setdefault(u, set(banned)).add(v)
-    heap: list[tuple[float, int, Path]] = [(0.0, 1, (source,))]
+    heap: list[tuple[float, int, Path, str]] = [(0.0, 1, (), source)]
     while heap:
-        d, nhops, path = heapq.heappop(heap)
-        node = path[-1]
+        d, nhops, parent, node = heapq.heappop(heap)
         if node in dist:
             continue
         dist[node] = d
-        best[node] = path
+        best[node] = path = parent + (node,)
         skip = skips.get(node, banned)
         for nbr in adj[node]:
             if nbr not in dist and nbr not in skip:
                 heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
-                                      path + (nbr,)))
+                                      path, nbr))
     return dist, best
 
 
@@ -190,6 +191,25 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
 
 def path_cost(lengths: Lengths, path: Path) -> float:
     return sum(lengths[(path[i], path[i + 1])] for i in range(len(path) - 1))
+
+
+def positions(walk: Path) -> dict[str, int]:
+    """Each node's last index in a walk."""
+    return {node: i for i, node in enumerate(walk)}
+
+
+def meet(head: Path, at: Mapping[str, int]) -> tuple[int, int]:
+    """Where ``shortcut`` joins a simple ``head`` to a walk B that starts at
+    ``head[-1]``, given ``at = positions(B)``: the first index a of head
+    whose node B visits, and that node's last index j in B.  Then
+    ``shortcut(head + B[1:]) == head[:a] + shortcut(B[j:])``: head's nodes
+    before a never recur, and the erasure leaves each node at its last
+    visit."""
+    for a, node in enumerate(head):
+        j = at.get(node)
+        if j is not None:
+            return a, j
+    raise ValueError("the walk does not start on head")
 
 
 def shortcut(path: Path) -> Path:

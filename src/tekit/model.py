@@ -298,22 +298,28 @@ def normalized(dist: Mapping[Path, float]) -> dict[Path, float]:
     return {p: w / total for p, w in sorted(dist.items()) if w > 0}
 
 
+def _top(dist: Mapping[Path, float], k: int) -> dict[Path, float]:
+    """The k highest-probability paths of one distribution, renormalized;
+    ties go to the lexicographically smaller node sequence."""
+    if len(dist) <= k:
+        return normalized(dist)
+    ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+    return normalized(dict(ranked[:k]))
+
+
+def _check_budget(k: int) -> None:
+    if k < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def prune_to_budget(scheme: Scheme, k: int) -> Scheme:
     """Keep only the k highest-probability paths per pair, renormalized.
 
     Ties are broken toward the lexicographically smaller node sequence.
     Idempotent, and never increases any entry's path count.
     """
-    if k < 1:
-        raise ValueError("budget must be >= 1")
-    out: Scheme = {}
-    for pair, dist in scheme.items():
-        if len(dist) <= k:
-            out[pair] = normalized(dist)
-            continue
-        ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        out[pair] = normalized(dict(ranked[:k]))
-    return out
+    _check_budget(k)
+    return {pair: _top(dist, k) for pair, dist in scheme.items()}
 
 
 def churn(prev: Scheme, next_: Scheme) -> int:
@@ -379,18 +385,24 @@ def attach_stubs(src: str, dst: str, switch_path: Path) -> Path:
     return (src,) + switch_path + (dst,)
 
 
-def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]]
-         ) -> Scheme:
+def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]],
+         budget: int | None = None) -> Scheme:
     """Host-pair scheme from a switch-pair route function.
 
     ``route(s, d)`` returns the switch-level path distribution from switch
     ``s`` to switch ``d``; it is called once per switch pair, s != d, that
     serves some host pair, and all of one source switch's pairs are asked
-    for in a row.  Hosts sharing a switch get the single-switch
-    path.  Each host pair gets its switch pair's distribution with the host
-    stubs attached, in the route's path order and with its exact
-    probabilities (nothing is renormalized).
+    for in a row.  Hosts sharing a switch get the single-switch path.
+    Without a budget, each host pair gets its switch pair's distribution
+    with the host stubs attached, in the route's path order and with its
+    exact probabilities (nothing is renormalized).  With a budget, each
+    switch pair's distribution is cut to its ``budget`` most likely paths
+    and renormalized before the stubs go on, once per switch pair; for
+    simple paths the result equals ``prune_to_budget`` of the unbudgeted
+    scheme, item for item.
     """
+    if budget is not None:
+        _check_budget(budget)
     routes: dict[tuple[str, str], Mapping[Path, float]] = {}
     scheme: Scheme = {}
     for src in topo.hosts:
@@ -400,7 +412,8 @@ def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]]
                 continue
             key = (s, topo.host_switch(dst))
             if key not in routes:
-                routes[key] = {(s,): 1.0} if key[0] == key[1] else route(*key)
+                dist = {(s,): 1.0} if key[0] == key[1] else route(*key)
+                routes[key] = dist if budget is None else _top(dist, budget)
             scheme[(src, dst)] = {attach_stubs(src, dst, p): w
                                   for p, w in routes[key].items()}
     return scheme

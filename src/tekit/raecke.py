@@ -20,12 +20,11 @@ leans on so later rounds route around them.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -249,7 +248,9 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
 
     Trees that route every pair identically are merged by summing their
     weights, in order of first appearance, so a graph with a single possible
-    decomposition yields one tree with probability 1.  Each round is logged
+    decomposition yields one tree with probability 1.  Only the hash of a
+    tree's routing identity is kept; on a hash hit the candidate's identity
+    is rebuilt from its climbs and compared in full.  Each round is logged
     at DEBUG level on the ``tekit.raecke`` logger.
     """
     if len(topo.switches) == 1:
@@ -257,7 +258,8 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
         return TreeDistribution(((tree, 1.0),), {})
 
     lengths = graphops.inverse_capacity_lengths(topo)
-    merged: dict[tuple, list] = {}  # routing identity -> [tree, weight]
+    merged: list[list] = []  # [tree, weight], in order of first appearance
+    by_hash: dict[int, list[list]] = {}  # identity hash -> entries of merged
     hit_limit = True
     mass = 0.0
 
@@ -267,7 +269,15 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
         util = _tree_utilization(tree, topo, climbs)
         u_max = max(util.values())
         argmax = max(util, key=util.__getitem__)
-        merged.setdefault(_canonical(climbs), [tree, 0.0])[1] += 1.0 / u_max
+        key = _canonical(climbs)
+        same = by_hash.setdefault(hash(key), [])
+        entry = next((e for e in same if _canonical(e[0].climbs()) == key),
+                     None)
+        if entry is None:
+            entry = [tree, 0.0]
+            same.append(entry)
+            merged.append(entry)
+        entry[1] += 1.0 / u_max
         mass += 1.0 / u_max
 
         for (a, b), u in util.items():
@@ -284,25 +294,74 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
         warnings.warn(
             f"tree distribution stopped at MAX_ITERATIONS={MAX_ITERATIONS} "
             "before the utilization threshold was exceeded", RuntimeWarning)
-    total = sum(weight for _, weight in merged.values())
-    trees = tuple((tree, weight / total) for tree, weight in merged.values())
+    total = sum(weight for _, weight in merged)
+    trees = tuple((tree, weight / total) for tree, weight in merged)
     return TreeDistribution(trees, dict(lengths), hit_iteration_limit=hit_limit)
 
 
-def paths_from_distribution(dist: TreeDistribution, topo: Topology) -> Scheme:
+def _tree_paths(tree: RoutingTree, served: list[str]
+                ) -> Iterator[tuple[str, str, Path]]:
+    """Every ordered pair of distinct served switches with its tree walk,
+    loop-shortcut to a simple path.
+
+    Pairs are enumerated by their lowest common ancestor: the pairs under
+    cluster c whose endpoints lie in different children of c.  The walk
+    from s to d is X + B[1:], X being s's climb to c's representative and
+    B the reversed climb of d.  X is shortcut once per source and level,
+    and ``graphops.meet`` joins it to B's shortcut suffix, each suffix
+    shortcut once per target and level, so the result equals
+    ``graphops.shortcut`` of the whole walk.
+    """
+    climbs = {s: tree.climb(s) for s in served}
+    level: dict[int, int] = {}
+    under: dict[int, list[str]] = {}  # cluster -> its served switches
+    for s in served:
+        for k, (i, _) in enumerate(climbs[s]):
+            level[i] = k
+            under.setdefault(i, []).append(s)
+    children: dict[int, list[list[str]]] = {}
+    for i, p in enumerate(tree.parent):
+        if p is not None and i in under:
+            children.setdefault(p, []).append(under[i])
+    for c, groups in children.items():
+        if len(groups) < 2:
+            continue
+        k = level[c]
+        heads = {s: graphops.shortcut(climbs[s][k][1]) for s in under[c]}
+        downs = {}
+        for d in under[c]:
+            walk = climbs[d][k][1][::-1]
+            downs[d] = (walk, graphops.positions(walk), {})
+        for group in groups:
+            for other in groups:
+                if other is group:
+                    continue
+                for s in group:
+                    head = heads[s]
+                    for d in other:
+                        walk, at, tails = downs[d]
+                        a, j = graphops.meet(head, at)
+                        tail = tails.get(j)
+                        if tail is None:
+                            tail = tails[j] = graphops.shortcut(walk[j:])
+                        yield s, d, head[:a] + tail
+
+
+def paths_from_distribution(dist: TreeDistribution, topo: Topology,
+                            budget: int | None = None) -> Scheme:
     """Collapse a tree distribution into a per-pair path distribution.
 
     Each tree contributes its switch-pair path (the tree walk, loop-shortcut
     to a simple path) with the tree's probability; identical physical paths
-    from different trees merge by summing.  ``model.lift`` attaches the host
-    stubs.  One tree's climbs are held at a time.
+    from different trees merge by summing.  ``model.lift`` cuts each switch
+    pair to the optional path ``budget`` and attaches the host stubs, so
+    the unpruned host scheme is never built.  One tree's climbs are held
+    at a time.
     """
     served = sorted({topo.host_switch(h) for h in topo.hosts})
     acc: dict[tuple[str, str], dict[Path, float]] = {}
     for tree, prob in dist.trees:
-        climbs = tree.climbs()
-        for s, d in itertools.permutations(served, 2):
-            path = graphops.shortcut(_splice(climbs[s], climbs[d]))
+        for s, d, path in _tree_paths(tree, served):
             paths = acc.setdefault((s, d), {})
             paths[path] = paths.get(path, 0.0) + prob
-    return lift(topo, lambda s, d: normalized(acc.pop((s, d))))
+    return lift(topo, lambda s, d: normalized(acc.pop((s, d))), budget)

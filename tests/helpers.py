@@ -1,15 +1,18 @@
 """Independent oracles for the algorithmic tests.
 
-Everything here deliberately avoids the library's own routing machinery:
-shortest paths come from exhaustive simple-path enumeration, and the
-min-max-congestion reference solves the full path-based LP with scipy's
-simplex-free HiGHS backend.  ``reference_propagate`` is the fluid step
+The oracles avoid the library's own routing machinery: shortest paths
+come from exhaustive simple-path enumeration, and the min-max-congestion
+reference solves the full path-based LP with scipy's simplex-free HiGHS
+backend.  ``reference_propagate`` is the fluid step
 written with per-link dicts, the specification the array step reproduces;
 ``reference_rollup`` folds a report's per-step dicts with ``+=``, the
 specification of the columnar rollup.
 ``reference_k_shortest_paths`` is Yen's algorithm run pair by pair, each
 spur search stopping at the target, the specification the per-source Yen
-reproduces.
+reproduces.  ``reference_raecke_paths`` and ``reference_vlb`` collapse
+every walk on its own, splicing it whole and running
+``graphops.shortcut`` over it: the specification of the builders that
+join shortcut halves instead.
 """
 
 import heapq
@@ -19,7 +22,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tekit import graphops
-from tekit.model import UnreachablePair, path_edges
+from tekit.model import UnreachablePair, lift, normalized, path_edges
+from tekit.raecke import _splice
 from tekit.sim import StepMetrics
 
 
@@ -123,6 +127,48 @@ def reference_k_shortest_paths(adj, lengths, source, target, k):
             break
         found.append(heapq.heappop(candidates))
     return [p for (_, _, p) in found]
+
+
+def reference_raecke_paths(dist, topo):
+    """Räcke's collapse walk by walk: per tree and switch pair, the tree
+    walk spliced from both climbs and then shortcut."""
+    served = sorted({topo.host_switch(h) for h in topo.hosts})
+    acc = {}
+    for tree, prob in dist.trees:
+        climbs = tree.climbs()
+        for s, d in itertools.permutations(served, 2):
+            path = graphops.shortcut(_splice(climbs[s], climbs[d]))
+            paths = acc.setdefault((s, d), {})
+            paths[path] = paths.get(path, 0.0) + prob
+    return lift(topo, lambda s, d: normalized(acc.pop((s, d))))
+
+
+def reference_vlb(topo):
+    """VLB intermediate by intermediate: the two shortest paths spliced
+    and then shortcut."""
+    adj = graphops.switch_graph(topo)
+    lengths = graphops.weight_lengths(topo)
+    best = {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
+
+    def route(s, d):
+        intermediates = [i for i in topo.switches if i not in (s, d)]
+        if not intermediates:
+            return {best[s][d]: 1.0}
+        share = 1.0 / len(intermediates)
+        dist = {}
+        for i in intermediates:
+            path = graphops.shortcut(best[s][i] + best[i][d][1:])
+            dist[path] = dist.get(path, 0.0) + share
+        return normalized(dist)
+
+    return lift(topo, route)
+
+
+def scheme_items(scheme):
+    """A scheme as a list: pairs and paths in their order, each
+    probability by its ``repr``."""
+    return [(pair, [(path, repr(w)) for path, w in dist.items()])
+            for pair, dist in scheme.items()]
 
 
 def lp_min_max_congestion(topo, commodities):

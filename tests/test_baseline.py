@@ -6,7 +6,8 @@ from tekit import (Edge, Topology, ecmp, graphops, ksp, spf,
                    validate_scheme, vlb)
 
 from conftest import TIED_LENGTHS, build_topology, random_topology
-from helpers import brute_k_shortest, brute_min_cost_set, path_cost
+from helpers import (brute_k_shortest, brute_min_cost_set, path_cost,
+                     reference_vlb, scheme_items)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,12 @@ def test_ecmp_matches_enumeration_property(topo):
         expected = brute_min_cost_set(adj, lengths, s_sw, d_sw)
         assert [p[1:-1] for p in dist] == expected
         assert all(v == 1.0 / len(expected) for v in dist.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(topo=_asymmetric_topologies())
+def test_vlb_matches_walk_by_walk_reference_property(topo):
+    assert scheme_items(vlb(topo)) == scheme_items(reference_vlb(topo))
 
 
 def test_ecmp_searches_once_per_switch(monkeypatch):

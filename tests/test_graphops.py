@@ -199,3 +199,20 @@ def test_shortcut_never_adds_edges():
         walk_edges = set(zip(walk, walk[1:]))
         for e in zip(cut, cut[1:]):
             assert e in walk_edges
+
+
+_NODES = st.sampled_from("abcdefgh")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(head=st.lists(_NODES, min_size=1, unique=True),
+       rest=st.lists(_NODES, max_size=12))
+def test_meet_joins_like_shortcut_property(head, rest):
+    """A simple head and any walk B from its last node: the shortcut of
+    head + B[1:] is head up to the meeting node, then B's shortcut from
+    that node's last visit."""
+    head = tuple(head)
+    walk = head[-1:] + tuple(rest)
+    a, j = graphops.meet(head, graphops.positions(walk))
+    assert (head[:a] + graphops.shortcut(walk[j:])
+            == graphops.shortcut(head + walk[1:]))

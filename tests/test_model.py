@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tekit
 from tekit import (AlgorithmKind, Edge, Topology, TopologyError, TrafficMatrix,
@@ -9,6 +11,7 @@ from tekit.model import ALGORITHM_NAMES, both_directions, lift
 from tekit.raecke import paths_from_distribution, raecke_distribution
 
 from conftest import tm_of
+from helpers import scheme_items
 
 
 def test_topology_rejects_unknown_endpoint():
@@ -265,3 +268,34 @@ def test_lift_routes_each_switch_pair_once():
     assert list(entry) == [("ax", f"p{i}", "bz") for i in range(10)]
     # shares are copied, not renormalized: ten tenths sum below one
     assert sum(entry.values()) == sum(tenth.values()) != 1.0
+
+
+#: simple switch paths' middles and unnormalized shares, with many ties
+_MIDDLES = st.lists(st.lists(st.sampled_from("pqrstu"), max_size=4,
+                             unique=True).map(tuple),
+                    min_size=1, max_size=8, unique=True)
+_SHARES = st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), budget=st.integers(1, 4))
+def test_lift_budget_equals_prune_property(data, budget):
+    """Cutting each switch pair to the budget before the stubs go on is
+    ``prune_to_budget`` of the unbudgeted scheme: same pairs, same path
+    order, same bits, also where host pairs share a switch pair."""
+    topo = _two_hosts_per_switch()
+    routes = {}
+    for s, d in (("x", "z"), ("z", "x")):
+        routes[(s, d)] = {(s,) + middle + (d,): data.draw(_SHARES)
+                          for middle in data.draw(_MIDDLES)}
+
+    def route(s, d):
+        return routes[(s, d)]
+
+    assert scheme_items(lift(topo, route, budget)) == scheme_items(
+        prune_to_budget(lift(topo, route), budget))
+
+
+def test_lift_rejects_zero_budget():
+    with pytest.raises(ValueError, match="budget"):
+        lift(_two_hosts_per_switch(), lambda s, d: {(s, d): 1.0}, 0)

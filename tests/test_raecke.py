@@ -2,6 +2,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tekit
 from tekit import graphops, raecke, validate_scheme
@@ -10,6 +12,7 @@ from tekit.raecke import (RoutingTree, frt_tree, paths_from_distribution,
                           raecke_distribution, stretch)
 
 from conftest import build_topology, random_topology
+from helpers import reference_raecke_paths, scheme_items
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +134,14 @@ def test_distribution_deterministic(abilene):
     assert a != c
 
 
+def test_merge_compares_identities_in_full(abilene, monkeypatch):
+    """With every routing identity hashing alike, still exactly the trees
+    that route alike merge."""
+    want = raecke_distribution(abilene, 7).serialize()
+    monkeypatch.setattr(raecke, "hash", lambda key: 0, raising=False)
+    assert raecke_distribution(abilene, 7).serialize() == want
+
+
 def test_distribution_iteration_limit_reported(abilene, monkeypatch):
     monkeypatch.setattr(raecke, "MAX_ITERATIONS", 1)
     with warnings.catch_warnings(record=True) as caught:
@@ -162,10 +173,9 @@ def test_paths_probabilities_sum_to_one(topo_name):
             assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_routing_tree_walk_concatenates_figure_fixture():
-    """A 9-node fixture with a hand-built 3-level tree: the walk between
-    distant leaves concatenates the per-edge physical paths into one
-    contiguous physical walk."""
+def _nine_node_fixture():
+    """A 9-node topology and a hand-built 3-level tree over it whose
+    representatives sit off the walks' direct routes."""
     topo = build_topology("nine", [
         ("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"), ("C", "E"),
         ("E", "F"), ("D", "F"), ("E", "G"), ("F", "G"), ("G", "H"),
@@ -187,6 +197,14 @@ def test_routing_tree_walk_concatenates_figure_fixture():
         leaf_index={"A": 8, "B": 9, "C": 10, "D": 11, "E": 6, "F": 7,
                     "G": 2, "H": 3, "I": 4},
     )
+    return topo, tree
+
+
+def test_routing_tree_walk_concatenates_figure_fixture():
+    """A 9-node fixture with a hand-built 3-level tree: the walk between
+    distant leaves concatenates the per-edge physical paths into one
+    contiguous physical walk."""
+    topo, tree = _nine_node_fixture()
     walk = tree.walk("A", "G")
     assert walk[0] == "A" and walk[-1] == "G"
     for hop in zip(walk, walk[1:]):
@@ -223,3 +241,38 @@ def test_congestion_within_small_factor_of_optimum(topo_name):
             good += 1
         state = mh_step(state)
     assert good >= 95
+
+
+@st.composite
+def _partly_served_topologies(draw):
+    """Random connected switch graphs with hosts on a random subset of the
+    switches, so some clusters serve no pair."""
+    n = draw(st.integers(3, 12))
+    names = [f"n{i:02d}" for i in range(n)]
+    links = {(names[draw(st.integers(0, i - 1))], names[i])
+             for i in range(1, n)}
+    for _ in range(draw(st.integers(0, n))):
+        a, b = sorted(draw(st.lists(st.sampled_from(names), min_size=2,
+                                    max_size=2, unique=True)))
+        links.add((a, b))
+    capped = [(a, b, draw(st.sampled_from([5.0, 10.0, 20.0, 40.0])))
+              for a, b in sorted(links)]
+    served = draw(st.lists(st.sampled_from(names), min_size=2, unique=True))
+    return build_topology("partly", capped, hosts_on=served)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(topo=_partly_served_topologies(), seed=st.integers(0, 50))
+def test_paths_match_walk_by_walk_reference_property(topo, seed):
+    dist = raecke_distribution(topo, seed)
+    assert scheme_items(paths_from_distribution(dist, topo)) == scheme_items(
+        reference_raecke_paths(dist, topo))
+
+
+def test_paths_match_reference_on_hand_built_tree():
+    topo, tree = _nine_node_fixture()
+    every = build_topology("nine-all", topo.links())
+    dist = raecke.TreeDistribution(((tree, 1.0),), {})
+    for t in (topo, every):
+        assert scheme_items(paths_from_distribution(dist, t)) == scheme_items(
+            reference_raecke_paths(dist, t))

@@ -7,7 +7,8 @@ dict order or to the last bit of a probability fails here.  The
 (``z*``) abilene's ``h*`` hosts and share switches with them.  The Räcke
 tree distributions behind the ``raecke`` schemes are pinned as well: their
 canonical text and the stretch of their first tree.  So are the bases the
-two envelope kinds learn from predicted matrices.
+two envelope kinds learn from predicted matrices, and the bases a run
+keeps under a path budget.
 """
 
 import hashlib
@@ -104,6 +105,56 @@ KSP_30_PINS = {
 def test_ksp_on_30_switches_is_pinned(seed):
     topo = random_topology(seed, n_switches=30, extra_links=15)
     assert scheme_digest(ksp(topo)) == KSP_30_PINS[seed]
+
+
+#: ``vlb`` and ``raecke`` on the same 30-switch topologies: deeper trees
+#: and longer walks than abilene's, so more loops to erase per walk
+SCALE_30_PINS = {
+    (0, "vlb"):
+        "eba28ab7fa60c53e8cb4cf1c664620fd4e4fbe8b71d32e3864dde4882ac114b6",
+    (0, "raecke0"):
+        "cdfb33415f4835fc46adfeb70a95291615ae16c09c99e01a20ee5214dd9801c0",
+    (0, "raecke1"):
+        "b4aceb40820b124f32e15f825c46b508cba627c846c3e6bc6e090d032e80acea",
+    (1, "vlb"):
+        "40c313dc6a841bbcf8b90da07b9edb8a2763450d087cbd4e5ce982f0407b473f",
+    (1, "raecke0"):
+        "d57881422f26298e3ee1e2e1b6422353774dd91cc7bd67c514ba97b5a3b9169a",
+    (1, "raecke1"):
+        "a8aa2dffdba329136298e9c4873acb180e419583b28ae5c72e510a73b09af6d6",
+}
+
+
+@pytest.mark.parametrize("seed, builder", sorted(SCALE_30_PINS))
+def test_builder_on_30_switches_is_pinned(seed, builder):
+    topo = random_topology(seed, n_switches=30, extra_links=15)
+    assert scheme_digest(BUILDERS[builder](topo)) == SCALE_30_PINS[
+        (seed, builder)]
+
+
+#: the bases a run keeps under ``--budget`` on the ``shared`` topology,
+#: whose host pairs share switch pairs: one prune serves several pairs
+BUDGET_PINS = {
+    ("ecmp", 1):
+        "cd02e5c29c7e64c91998ef4e2b46cf9dfe8936efe6c8720af2269da351361a65",
+    ("ecmp", 3):
+        "a5cbbc1e6aaa33eb05d036433ca793aa0e130d6b2ceacee3546b8aceb9feef01",
+    ("raecke", 1):
+        "b845407570faea19403bd82fc7e041db90978a9f8ee95134cf536397a57c2a58",
+    ("raecke", 3):
+        "e6db0c4d0daa8f1b8d7cec6b253b04eb3014cae5106c3b2267e269f886227bbd",
+    ("vlb", 1):
+        "b6ce1f9f26cc9b3a89acb820aabf8470c0828d94122d0d5eb5a622eaee8aea6a",
+    ("vlb", 3):
+        "2dc40f4c6b03e5fe0d92091f6e18471ef3c4e532ddca7cd1a0e5812f81d9c8bb",
+}
+
+
+@pytest.mark.parametrize("name, budget", sorted(BUDGET_PINS))
+def test_budgeted_base_is_pinned(topologies, name, budget):
+    driver = SchemeDriver(topologies["shared"], AlgorithmKind.parse(name), [],
+                          BuildConfig(budget=budget))
+    assert scheme_digest(driver.base) == BUDGET_PINS[(name, budget)]
 
 
 #: sha256 of ``TreeDistribution.serialize()`` and of the ``repr`` of the
