@@ -7,8 +7,11 @@ fixed-path adaptive ones re-balance weights over their installed base,
 oblivious ones never change), applies the path budget, injects link
 failures per the failure model, and then pushes the *actual* demands
 through the network for a configurable number of steps.  One solve answers
-each matrix: on a failed matrix with recovery on, a fixed-path adaptive
-algorithm runs only its recovery solve over its installed paths.
+each matrix: on a failed matrix with global recovery, every algorithm runs
+only its rebuild on the reduced topology, and with local recovery a
+fixed-path adaptive algorithm runs only its recovery solve over its
+installed paths.  Churn and the installed path count are those of the
+paths installed after recovery.
 
 Traffic is fluid: each step, every path requests demand * probability on
 every link it crosses, each link divides its capacity by max-min fair
@@ -26,10 +29,10 @@ block in one pass.  A steady matrix is one block of one row; a flash
 matrix's re-balance periods are cut into blocks of at most
 ``_BLOCK_HOP_ENTRIES`` hop entries.  The fill's order is the specification
 of the results: the step is the primary key, so no step sees another's
-requests; a link serves its requests by increasing request, ties broken by
-``str`` of the live flow's index within its step (flow 10 before flow 2);
-and every total is a left fold, a link's in service order and the step's
-in flow order.  How steps are blocked therefore never changes a bit.
+requests; a link serves its requests by increasing request, equal requests
+in flow order (flow 2 before flow 10); and every total is a left fold, a
+link's in service order and the step's in flow order.  How steps are
+blocked therefore never changes a bit.
 
 The report is columnar (``StepBlock``): per matrix, the per-edge
 utilization (steps x edges), the delivered, lost and demanded totals per
@@ -206,54 +209,41 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _water_fill(capacity: np.ndarray, req: np.ndarray,
-                counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max-min water-filling of many links in lockstep.
+def _water_fill(capacity: np.ndarray, lane: np.ndarray, req: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Max-min water-filling of many lanes in lockstep.
 
-    ``req`` holds each link's requests back to back, ``counts[j]`` >= 1 of
-    them for link j, each run in the order it is served; link j shares
-    ``capacity[j]``.  The request at position i of a run of n gets
-    min(request, remaining / (n - i)) and leaves that much less capacity;
-    a link's total is the left fold of its grants in that order.  Returns
-    (each request's grant, each link's total).
+    Request i asks ``req[i]`` of lane ``lane[i]``, which shares
+    ``capacity[lane[i]]``; the requests come in flow order.  A lane serves
+    its requests by increasing request, equal ones in flow order: the k-th
+    served of its n gets min(request, remaining / (n - k)) and leaves that
+    much less capacity, and the lane's total is the left fold of its grants
+    in that order.  Returns (each request's grant in input order, each
+    lane's total, 0.0 for an idle lane).
     """
-    lanes = np.argsort(-counts, kind="stable")  # deepest links first
-    starts = (np.cumsum(counts) - counts)[lanes]
-    sizes = counts[lanes].tolist()
-    depth = counts[lanes].astype(float)
+    order = np.lexsort((req, lane))  # stable: equal requests keep flow order
+    used, counts = np.unique(lane[order], return_counts=True)
+    deep = np.argsort(-counts, kind="stable")  # deepest lanes first
+    lanes, starts = used[deep], (np.cumsum(counts) - counts)[deep]
+    sizes = counts[deep].tolist()
+    depth = counts[deep].astype(float)
     remaining = capacity[lanes]
     total = np.zeros(len(lanes))
-    give = np.maximum(req, 0.0)
+    give = np.maximum(req[order], 0.0)
     active = len(lanes)
-    for i in range(sizes[0]):
-        while sizes[active - 1] <= i:
+    for k in range(max(sizes, default=0)):
+        while sizes[active - 1] <= k:
             active -= 1
-        at = starts[:active] + i  # position i of every link that long
-        grant = np.minimum(give[at], remaining[:active] / (depth[:active] - i))
+        at = starts[:active] + k  # position k of every lane that long
+        grant = np.minimum(give[at], remaining[:active] / (depth[:active] - k))
         give[at] = grant
         remaining[:active] -= grant
         total[:active] += grant
-    totals = np.empty(len(lanes))
+    out = np.empty(len(give))
+    out[order] = give
+    totals = np.zeros(len(capacity))
     totals[lanes] = total
-    return give, totals
-
-
-def _tie_rank(keys) -> np.ndarray:
-    """Each key's rank in ``str`` order (stable), the water-fill tie key."""
-    text = [str(k) for k in keys]
-    rank = np.empty(len(text), dtype=np.intp)
-    rank[sorted(range(len(text)), key=text.__getitem__)] = np.arange(len(text))
-    return rank
-
-
-@functools.lru_cache(maxsize=32)
-def _flow_rank(n: int) -> np.ndarray:
-    """``_tie_rank(range(n))``, read-only: the tie key of the live flows
-    0..n-1.  A run sees few distinct flow counts, one per installed table
-    unless demands drop to zero."""
-    rank = _tie_rank(range(n))
-    rank.setflags(write=False)
-    return rank
+    return out, totals
 
 
 def max_min_allocate(link_capacity: float,
@@ -261,18 +251,18 @@ def max_min_allocate(link_capacity: float,
     """Water-filling: flows at or below the fair share keep their request;
     the residual capacity is re-divided among the rest.  The result is
     max-min optimal and never exceeds the capacity.  Requests are served
-    in (request, ``str(key)``) order; this is one link of the fluid step's
+    by increasing request, ties in the mapping's order, and the result
+    lists them in service order; this is one link of the fluid step's
     kernel."""
     if not link_capacity > 0:
         raise ValueError("capacity must be positive")
     keys = list(requests)
-    if not keys:
-        return {}
     req = np.array([requests[k] for k in keys], dtype=float)
-    order = np.lexsort((_tie_rank(keys), req))
-    give, _ = _water_fill(np.array([link_capacity], dtype=float), req[order],
-                          np.array([len(keys)]))
-    return {keys[i]: g for i, g in zip(order.tolist(), give.tolist())}
+    give, _ = _water_fill(np.array([link_capacity], dtype=float),
+                          np.zeros(len(keys), dtype=np.intp), req)
+    grants = give.tolist()
+    return {keys[i]: grants[i]
+            for i in np.argsort(req, kind="stable").tolist()}
 
 
 def failure_schedule(topo: Topology, phi: int, num_tms: int, seed: int,
@@ -418,17 +408,6 @@ def _fold(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1].copy()
 
 
-def _hop_requests(table: PathTable, live: np.ndarray, rate: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every hop of a live flow, step-major and in flow order: its lane
-    (step * edges + edge), its request and its flow's index within the
-    step."""
-    step, entry = np.nonzero(live[:, table.hop_row])
-    owner = table.hop_row[entry]
-    return (step * len(table.edge_keys) + table.hops[entry],
-            rate[step, owner], (np.cumsum(live, axis=1) - 1)[step, owner])
-
-
 def _propagate(table: PathTable, rates: np.ndarray) -> StepBlock:
     """A block of fluid steps under one path table, one per demand row of
     ``rates`` (steps x hosts x hosts): route, allocate per link, account
@@ -437,11 +416,11 @@ def _propagate(table: PathTable, rates: np.ndarray) -> StepBlock:
     In each step every live flow (a live row with non-zero demand)
     requests demand * probability on each of its hops.  All (step, link)
     lanes are filled by one ``_water_fill``: lane = step * edges + edge,
-    each serving its requests in (request, ``str(live flow index)``) order,
-    the index counted within the step; a flow delivers its smallest grant.
-    A step's totals are left folds over its flows in order (a flow that is
-    not live adds 0.0, which leaves a fold unchanged), so no result depends
-    on how numpy sums or on how the steps are blocked.
+    each serving its requests by increasing request, ties in flow order; a
+    flow delivers its smallest grant.  A step's totals are left folds over
+    its flows in order (a flow that is not live adds 0.0, which leaves a
+    fold unchanged), so no result depends on how numpy sums or on how the
+    steps are blocked.
     """
     n = len(table.hosts)
     if rates.shape[1:] != (n, n):
@@ -451,24 +430,16 @@ def _propagate(table: PathTable, rates: np.ndarray) -> StepBlock:
     rate = demand * table.prob
     offered = demand != 0
     live = offered & ~table.dead
+    # every hop of a live flow, step-major and in flow order
+    step, entry = np.nonzero(live[:, table.hop_row])
+    capacity = np.tile(table.capacity, steps)
+    grant, total = _water_fill(capacity, step * n_edges + table.hops[entry],
+                               rate[step, table.hop_row[entry]])
+    util = (total / capacity).reshape(steps, n_edges)
     got = np.zeros((steps, len(table.cell)))
-    util = np.zeros((steps, n_edges))
-    flow_step, flow = np.nonzero(live)  # step-major, rows in table order
-    if len(flow):
-        lane, req, index = _hop_requests(table, live, rate)
-        # str order of two indices does not depend on how many flows share
-        # the step, so the longest step's ranks order every step's flows
-        order = np.lexsort((_flow_rank(int(live.sum(axis=1).max()))[index],
-                            req, lane))
-        lanes, counts = np.unique(lane[order], return_counts=True)
-        cap = table.capacity[lanes % n_edges]
-        give, total = _water_fill(cap, req[order], counts)
-        grant = np.empty(len(give))
-        grant[order] = give
-        hops = table.hop_count[flow]
-        got[flow_step, flow] = np.minimum.reduceat(grant, np.cumsum(hops)
-                                                   - hops)
-        util.ravel()[lanes] = total / cap
+    flow_step, flow = np.nonzero(live)
+    hops = table.hop_count[flow]
+    got[flow_step, flow] = np.minimum.reduceat(grant, np.cumsum(hops) - hops)
 
     # latency bins: per step and latency weight, keys in first-seen order
     bin_step, carrier = np.nonzero(got > 0)
@@ -498,8 +469,9 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
     Failures follow the phi schedule (or ``cfg.explicit_failures``).  With
     ``recovery="local"`` failed paths are dropped and rates re-balanced;
     with ``"global"`` the scheme is recomputed on the reduced topology
-    (falling back to local if a removal would disconnect it); on such a
-    matrix a semi-oblivious kind runs only that recovery solve.  The
+    (falling back to local if a removal would disconnect it).  On a failed
+    matrix the recovery solve is the only one: global recovery replaces
+    every kind's answer, local recovery a semi-oblivious kind's.  The
     omniscient baseline recomputes on the reduced topology from the actual
     matrix regardless.  With ``flash_beta`` > 0 a flash burst toward a sink
     drawn per matrix from ``seed`` is injected into the actual demands each
@@ -540,23 +512,24 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
             except TopologyError:  # disconnected: global degrades to local
                 recovery = "local" if recovery == "global" else recovery
 
-        # a kept base answers a failed matrix with its recovery solve alone
-        if driver.base is None or recovery == "none":
-            scheme = driver.scheme_for(t, ptm, atm, topo_t)
-        installed = scheme if driver.base is None else driver.base
+        # a failed matrix is answered by its recovery solve alone: global
+        # recovery for every kind, local recovery for a kept base
+        if recovery == "global":
+            scheme, installed = recover_global(t, kind, topo_t, ptm, cfg,
+                                               driver.solves)
+        else:
+            if driver.base is None or recovery == "none":
+                scheme = driver.scheme_for(t, ptm, atm, topo_t)
+            installed = scheme if driver.base is None else driver.base
+            if recovery == "local":
+                scheme = driver.timed(
+                    f"{kind.name} local recovery tm{t}",
+                    lambda: recover_local(installed, failed, kind, topo, ptm,
+                                          cfg.mw))
         churn_tl.append(0 if prev_installed is None
                         else churn(prev_installed, installed))
         paths_tl.append(sum(len(d) for d in installed.values()))
         prev_installed = installed
-
-        if recovery == "global":
-            scheme, installed = recover_global(t, kind, topo_t, ptm, cfg,
-                                               driver.solves)
-        elif recovery == "local":
-            scheme = driver.timed(
-                f"{kind.name} local recovery tm{t}",
-                lambda: recover_local(installed, failed, kind, topo, ptm,
-                                      cfg.mw))
 
         table = PathTable(topo, scheme, atm.hosts, dead)
         if cfg.flash_beta == 0:

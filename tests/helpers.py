@@ -234,10 +234,10 @@ def random_commodities(topo, rng, count):
 
 
 def reference_water_fill(link_capacity, requests):
-    """One link's max-min water-filling over a dict of requests: served in
-    (request, str(key)) order, each gets min(request, fair share of what
-    is left)."""
-    order = sorted(requests.items(), key=lambda kv: (kv[1], str(kv[0])))
+    """One link's max-min water-filling over a dict of requests: served by
+    increasing request, ties in dict order (the sort is stable), each gets
+    min(request, fair share of what is left)."""
+    order = sorted(requests.items(), key=lambda kv: kv[1])
     alloc = {}
     remaining = link_capacity
     n = len(order)

@@ -178,9 +178,9 @@ def test_propagate_matches_dict_reference(case):
             assert type(value) is float
 
 
-def test_propagate_ties_by_flow_index_text():
-    """Flow 10 is served before flow 2: on a saturated stub carrying 12
-    equal requests the grants follow str order, as the dict step's do."""
+def test_propagate_serves_ties_in_flow_order():
+    """Flow 2 is served before flow 10: on a saturated stub carrying 12
+    equal requests, the k-th flow gets the k-th grant of the fill."""
     spokes = "bcdefghijklm"
     topo = build_topology("star", [("a", b) for b in spokes],
                           hosts_on=["a", *spokes], stub_cap=1.0,
@@ -190,10 +190,17 @@ def test_propagate_ties_by_flow_index_text():
     tm = tm_of(topo, {("h_a", f"h_{b}"): 1.0 for b in spokes})
     table = PathTable(topo, scheme, tm.hosts, frozenset())
     [got] = sim._propagate(table, tm.rates[None]).views()
-    want = reference_propagate(topo, scheme, tm, frozenset())
+    remaining, want = 1.0, []
+    for k in range(len(spokes)):
+        want.append(min(1.0, remaining / (len(spokes) - k)))
+        remaining -= want[-1]
+    # the grants differ in the last bit, so the order shows in them
+    assert want[2] != want[10]
     # each flow has its own latency, so the samples show who got which grant
-    assert len(set(want.latency_samples.values())) > 1
-    assert repr(got) == repr(want)
+    assert list(got.latency_samples) == [1.0 + i for i in range(len(spokes))]
+    assert list(got.latency_samples.values()) == want
+    assert repr(got) == repr(reference_propagate(topo, scheme, tm,
+                                                 frozenset()))
 
 
 # -- failure schedules ---------------------------------------------------------
@@ -533,6 +540,22 @@ def test_optimalmcf_flash_solves_name_matrix_and_step(abilene):
     assert [s.label for s in rep.solves if "flash" in s.label] == [
         f"optimalmcf flash solve tm{t} step{step}"
         for t in (0, 1) for step in (1, 2)]
+
+
+def test_global_recovery_is_the_failed_matrix_only_solve(abilene):
+    """On a failed matrix global recovery replaces the per-matrix solve, and
+    churn and the path count are those of the rebuilt paths."""
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=3), 5e9)
+    failed = (("s2", "s12"),)
+    cfg = SimConfig(steps_per_tm=1, recovery="global", seed=1, budget=3,
+                    explicit_failures=[failed])
+    rep = simulate(abilene, "mcf", [tm], [tm], cfg)
+    assert [s.label for s in rep.solves] == ["global recovery: mcf solve tm0"]
+    kind = AlgorithmKind.parse("ksp")
+    rebuilt = tekit.SchemeDriver(abilene.without_links(failed), kind, [tm],
+                                 cfg).base
+    rep = simulate(abilene, kind, [tm], [tm], cfg)
+    assert rep.installed_paths == [sum(len(d) for d in rebuilt.values())]
 
 
 def test_global_recovery_fallback_is_labelled_local(path8):
