@@ -22,9 +22,9 @@ KSP_PATHS = 4
 
 def _shortest(topo: Topology) -> dict[str, dict[str, Path]]:
     """Shortest path from every switch to every switch, latency weights."""
-    adj = graphops.switch_graph(topo)
-    lengths = graphops.weight_lengths(topo)
-    return {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
+    graph = graphops.weighted(graphops.switch_graph(topo),
+                              graphops.weight_lengths(topo))
+    return {s: graphops.dijkstra(graph, s)[1] for s in topo.switches}
 
 
 def _uniform(paths: list[Path]) -> dict[Path, float]:
@@ -43,9 +43,8 @@ def ecmp(topo: Topology, budget: int | None = None) -> Scheme:
     (before the budget cut)."""
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    radj, rlengths = graphops.reversed_graph(adj, lengths)
-    dist_to = {d: graphops.dijkstra(radj, rlengths, d)[0]
-               for d in topo.switches}
+    rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
+    dist_to = {d: graphops.dijkstra(rgraph, d)[0] for d in topo.switches}
     return lift(topo, lambda s, d: _uniform(graphops.min_cost_paths(
         adj, lengths, s, d, dist_to[d])), budget)
 

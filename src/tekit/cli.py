@@ -38,6 +38,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 from . import demand, fileio, sim
@@ -211,7 +212,7 @@ def _sim_config(args) -> SimConfig:
 def _run_one(topo, name, actual, predicted, cfg):
     try:
         return name, sim.simulate(topo, name, actual, predicted, cfg)
-    except (sim.InfeasibleFailureError, demand.NoEligibleSinkError) as exc:
+    except demand.NoEligibleSinkError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -257,6 +258,13 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
+        # one failure schedule, computed here, serves every algorithm
+        try:
+            failures = sim.failure_schedule(topo, cfg.phi, len(actual),
+                                            cfg.seed, actual[0])
+        except sim.InfeasibleFailureError as exc:
+            raise InputError(str(exc)) from exc
+        cfg = replace(cfg, explicit_failures=tuple(failures))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_log_to_stderr,

@@ -8,11 +8,14 @@ identical paths on any platform.
 
 No search copies the graph, and ``dijkstra`` is the one search: the
 congestion solver's oracle calls it plain, Yen's ``k_shortest_paths``
-with banned nodes and edges.  Yen runs once per source: a spur search
-depends on the spur node, the banned root nodes and the banned next hops
-but not on the target, so all of the source's targets share each
-restricted search.  ``min_cost_paths`` takes the target's distance map, so
-a caller routing every pair runs one Dijkstra per node, not one per pair.
+with banned nodes and edges.  It walks a *weighted adjacency*
+(``weighted``): each node's (neighbour, length) pairs, built once per
+length function, so the search looks up no length by its edge key.  Yen
+runs once per source: a spur search depends on the spur node, the banned
+root nodes and the banned next hops but not on the target, so all of the
+source's targets share each restricted search.  ``min_cost_paths`` takes
+the target's distance map, so a caller routing every pair runs one
+Dijkstra per node, not one per pair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import Iterable, Mapping
 from .model import Path, Topology, UnreachablePair
 
 Lengths = Mapping[tuple[str, str], float]
+#: node -> its (neighbour, edge length) pairs
+Weighted = Mapping[str, Iterable[tuple[str, float]]]
 
 
 def switch_graph(topo: Topology) -> dict[str, tuple[str, ...]]:
@@ -43,7 +48,15 @@ def inverse_capacity_lengths(topo: Topology) -> dict[tuple[str, str], float]:
     return {k: 1.0 / topo.edges[k].capacity for k in topo.switch_edges}
 
 
-def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths, source: str,
+def weighted(adj: Mapping[str, Iterable[str]], lengths: Lengths
+             ) -> dict[str, tuple[tuple[str, float], ...]]:
+    """The weighted adjacency ``dijkstra`` walks: each node's neighbours in
+    adjacency order, each with the length of the edge to it."""
+    return {u: tuple((v, lengths[(u, v)]) for v in vs)
+            for u, vs in adj.items()}
+
+
+def dijkstra(graph: Weighted, source: str,
              banned_nodes: Iterable[str] = (),
              banned_edges: Iterable[tuple[str, str]] = ()
              ) -> tuple[dict[str, float], dict[str, Path]]:
@@ -75,22 +88,20 @@ def dijkstra(adj: Mapping[str, Iterable[str]], lengths: Lengths, source: str,
         dist[node] = d
         best[node] = path = parent + (node,)
         skip = skips.get(node, banned)
-        for nbr in adj[node]:
+        for nbr, w in graph[node]:
             if nbr not in dist and nbr not in skip:
-                heapq.heappush(heap, (d + lengths[(node, nbr)], nhops + 1,
-                                      path, nbr))
+                heapq.heappush(heap, (d + w, nhops + 1, path, nbr))
     return dist, best
 
 
-def reversed_graph(adj: Mapping[str, Iterable[str]], lengths: Lengths
-                   ) -> tuple[dict[str, list[str]], Lengths]:
-    """Adjacency and lengths with every edge turned around: a Dijkstra from
-    t over them gives every node's distance to t."""
-    radj: dict[str, list[str]] = {n: [] for n in adj}
-    for u, vs in adj.items():
-        for v in vs:
-            radj[v].append(u)
-    return radj, {(v, u): w for (u, v), w in lengths.items()}
+def reversed_graph(graph: Weighted) -> dict[str, list[tuple[str, float]]]:
+    """The weighted adjacency with every edge turned around: a Dijkstra
+    from t over it gives every node's distance to t."""
+    rgraph: dict[str, list[tuple[str, float]]] = {n: [] for n in graph}
+    for u, arcs in graph.items():
+        for v, w in arcs:
+            rgraph[v].append((u, w))
+    return rgraph
 
 
 def min_cost_paths(adj, lengths: Lengths, source: str, target: str,
@@ -143,6 +154,7 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    graph = weighted(adj, lengths)
     searches: dict[tuple[str, frozenset[str], frozenset[str]],
                    dict[str, Path]] = {}
 
@@ -152,8 +164,7 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
         paths = searches.get(key)
         if paths is None:
             paths = searches[key] = dijkstra(
-                adj, lengths, spur, banned_nodes,
-                [(spur, v) for v in banned_next])[1]
+                graph, spur, banned_nodes, [(spur, v) for v in banned_next])[1]
         return paths
 
     first = search(source, frozenset(), frozenset())
@@ -198,18 +209,32 @@ def positions(walk: Path) -> dict[str, int]:
     return {node: i for i, node in enumerate(walk)}
 
 
-def meet(head: Path, at: Mapping[str, int]) -> tuple[int, int]:
+def meet(head: Path, at: Mapping[str, int], start: int = 0
+         ) -> tuple[int, int]:
     """Where ``shortcut`` joins a simple ``head`` to a walk B that starts at
-    ``head[-1]``, given ``at = positions(B)``: the first index a of head
-    whose node B visits, and that node's last index j in B.  Then
-    ``shortcut(head + B[1:]) == head[:a] + shortcut(B[j:])``: head's nodes
-    before a never recur, and the erasure leaves each node at its last
-    visit."""
+    ``head[-1]``, given ``at = positions(W)`` for a walk W with
+    ``B == W[start:]``: the first index a of head whose node B visits, and
+    that node's last index j in W.  Then ``shortcut(head + B[1:]) ==
+    head[:a] + shortcut(W[j:])``: head's nodes before a never recur, and
+    the erasure leaves each node at its last visit."""
     for a, node in enumerate(head):
-        j = at.get(node)
-        if j is not None:
+        j = at.get(node, -1)
+        if j >= start:
             return a, j
     raise ValueError("the walk does not start on head")
+
+
+def erased_suffixes(walk: Path, at: Mapping[str, int]) -> dict[int, Path]:
+    """``shortcut(walk[j:])`` for every j that is its node's last index
+    (``at = positions(walk)``).  Such a node never recurs, so its erased
+    suffix is the node followed by the erased suffix from the last visit
+    of the next node."""
+    last = len(walk) - 1
+    out = {last: walk[last:]}
+    for j in range(last - 1, -1, -1):
+        if at[walk[j]] == j:
+            out[j] = (walk[j],) + out[at[walk[j + 1]]]
+    return out
 
 
 def shortcut(path: Path) -> Path:

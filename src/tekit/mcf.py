@@ -281,7 +281,10 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
     commodity = {key: j for j, key in enumerate(keys)}
     demand = np.array([demands[key] / d_ref for key in keys])
     edge_index, cap = _switch_edges(topo)
-    adj = graphops.switch_graph(topo)
+    # each switch's out-edges as (neighbour, edge index): every iteration
+    # reads the lengths into the weighted adjacency through them
+    out_edges = {u: [(v, edge_index[(u, v)]) for v in topo.switch_adj(u)]
+                 for u in topo.switches}
     # sources and their targets in sorted order visit the commodities in
     # commodity order
     sources = sorted({s for (s, _) in keys})
@@ -290,10 +293,12 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
     known: dict[Path, int] = {}
 
     def oracle(lengths):
-        lmap = dict(zip(edge_index, lengths.tolist()))
+        lens = lengths.tolist()
+        graph = {u: [(v, lens[e]) for v, e in arcs]
+                 for u, arcs in out_edges.items()}
         chosen, dists = [], []
         for s in sources:
-            dist, best = graphops.dijkstra(adj, lmap, s)
+            dist, best = graphops.dijkstra(graph, s)
             for d in targets[s]:
                 path = best[d]
                 k = known.get(path)

@@ -16,6 +16,11 @@ samples a tree under the current edge lengths, scores the worst-case
 utilization the tree could induce on each edge, weights the tree inversely
 to its peak utilization, and inflates the lengths of the edges the tree
 leans on so later rounds route around them.
+
+Memory stays bounded as the topology grows: a round holds one array of
+all switch-to-switch distances and one tree's climbs, the distribution
+keeps a hash of each distinct tree's probe, not its full routing
+identity, and the collapse to paths holds one pass's pair distributions.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -42,6 +47,8 @@ EPSILON = 0.1
 UTILIZATION_THRESHOLD = 1.0
 #: the rounds stop here if the mass has not exceeded the threshold by then
 MAX_ITERATIONS = 200
+#: trees x switch pairs one pass of ``paths_from_distribution`` collapses
+_PASS_WALKS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,15 @@ def _splice(cu: Climb, cv: Climb) -> Path:
     return cu[k][1] + cv[k][1][-2::-1]
 
 
-def _canonical(climbs: Mapping[str, Climb]) -> tuple:
+def _canonical(climbs: Mapping[str, Climb], probe: bool = False) -> tuple:
     """Routing identity of a tree: the walk every switch pair is assigned.
-    Trees that route every pair identically are the same tree downstream."""
+    Trees that route every pair identically are the same tree downstream.
+    A ``probe`` is its first n - 1 walks, from the first switch in sorted
+    order: trees that route alike have equal probes."""
     sws = sorted(climbs)
     return tuple(_splice(climbs[u], climbs[v])
-                 for i, u in enumerate(sws) for v in sws[i + 1:])
+                 for i, u in enumerate(sws[:1] if probe else sws)
+                 for v in sws[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,33 @@ class TreeDistribution:
         return "\n".join(blocks + tail) + "\n"
 
 
+def _distances(graph: graphops.Weighted, switches: list[str]) -> np.ndarray:
+    """Every switch-to-switch distance: ``D[s, v]`` from ``switches[s]`` to
+    ``switches[v]``, inf where v is unreachable.
+
+    Synchronous relaxation, D[s, v] <- min(D[s, v], min_u D[s, u] +
+    length(u, v)), repeated until nothing changes.  fl(x + w) never
+    decreases as x grows (w >= 0), so ``dijkstra``'s float distance is the
+    minimum, over all walks, of the walk's left-fold cost; that minimum is
+    the relaxation's fixpoint too, and ``min`` is exact, so the two agree
+    bit for bit.
+    """
+    at = {s: i for i, s in enumerate(switches)}
+    dist = np.full((len(switches), len(switches)), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    arcs = sorted((at[v], at[u], w) for u in switches for v, w in graph[u])
+    if not arcs:
+        return dist
+    head, tail, length = (np.array(column) for column in zip(*arcs))
+    starts = np.flatnonzero(np.diff(head, prepend=-1))  # arcs into one node
+    into = head[starts]
+    while True:
+        best = np.minimum.reduceat(dist[:, tail] + length, starts, axis=1)
+        if not (best < dist[:, into]).any():
+            return dist
+        dist[:, into] = np.minimum(dist[:, into], best)
+
+
 def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
              seed) -> RoutingTree:
     """Sample one routing tree by hierarchical ball decomposition.
@@ -136,7 +173,8 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     metric induced by ``lengths``) covers it.  A cluster's representative is
     its highest-priority member, and each tree edge maps to the shortest
     physical path between the two representatives under the same lengths.
-    One Dijkstra run per switch yields both the distances and those paths.
+    The metric comes from ``_distances``, all pairs at once; only the
+    representatives of parent clusters run a path-building ``dijkstra``.
     """
     switches = list(topo.switches)
     rng = np.random.default_rng(seed)
@@ -144,9 +182,8 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     priority = {s: i for i, s in enumerate(order)}
     scale = float(2.0 ** rng.random())
 
-    adj = graphops.switch_graph(topo)
-    runs = {s: graphops.dijkstra(adj, lengths, s) for s in switches}
-    dist = {s: run[0] for s, run in runs.items()}
+    graph = graphops.weighted(graphops.switch_graph(topo), lengths)
+    dist = _distances(graph, order)  # both axes in priority order
 
     def rep(members) -> str:
         return min(members, key=priority.__getitem__)
@@ -154,34 +191,38 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     clusters: list[frozenset] = [frozenset(switches)]
     parents: list = [None]
     frontier = [0]
-    diam = max(max(row.values()) for row in dist.values())
+    diam = float(dist.max())
     level = math.ceil(math.log2(diam)) if diam > 0 else 0
     while frontier:
         radius = scale * (2.0 ** level)
         next_frontier: list[int] = []
         for ci in frontier:
-            members = clusters[ci]
+            members = list(clusters[ci])
             if len(members) == 1:
                 continue
-            groups: dict[str, set] = {}
-            for v in sorted(members):
-                center = next(u for u in order if dist[u][v] <= radius)
-                groups.setdefault(center, set()).add(v)
-            parts = [groups[c] for c in order if c in groups]
-            if len(parts) == 1:
+            # each member's center: the first switch in priority order
+            # whose ball covers it
+            centers = (dist[:, [priority[v] for v in members]] <= radius
+                       ).argmax(axis=0).tolist()
+            groups: dict[int, set] = {}
+            for v, c in zip(members, centers):
+                groups.setdefault(c, set()).add(v)
+            if len(groups) == 1:
                 # cluster did not split at this radius; try the next level
                 next_frontier.append(ci)
                 continue
-            for part in parts:
-                clusters.append(frozenset(part))
+            for c in sorted(groups):
+                clusters.append(frozenset(groups[c]))
                 parents.append(ci)
-                if len(part) > 1:
+                if len(groups[c]) > 1:
                     next_frontier.append(len(clusters) - 1)
         frontier = next_frontier
         level -= 1
 
     reps = tuple(rep(c) for c in clusters)
-    paths = [(reps[i],) if p is None else runs[reps[p]][1][reps[i]]
+    best = {r: graphops.dijkstra(graph, r)[1]
+            for r in {reps[p] for p in parents[1:]}}
+    paths = [(reps[i],) if p is None else best[reps[p]][reps[i]]
              for i, p in enumerate(parents)]
     leaf_index = {next(iter(c)): i for i, c in enumerate(clusters) if len(c) == 1}
     return RoutingTree(tuple(clusters), tuple(parents), reps, tuple(paths),
@@ -248,10 +289,11 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
 
     Trees that route every pair identically are merged by summing their
     weights, in order of first appearance, so a graph with a single possible
-    decomposition yields one tree with probability 1.  Only the hash of a
-    tree's routing identity is kept; on a hash hit the candidate's identity
-    is rebuilt from its climbs and compared in full.  Each round is logged
-    at DEBUG level on the ``tekit.raecke`` logger.
+    decomposition yields one tree with probability 1.  Trees are bucketed
+    by the hash of their probe (see ``_canonical``); only when a bucket
+    already holds a tree are the candidate's full routing identity and each
+    bucket member's (rebuilt from its climbs) built and compared.  Each
+    round is logged at DEBUG level on the ``tekit.raecke`` logger.
     """
     if len(topo.switches) == 1:
         tree = frt_tree(topo, {}, [seed, 0])
@@ -259,7 +301,7 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
 
     lengths = graphops.inverse_capacity_lengths(topo)
     merged: list[list] = []  # [tree, weight], in order of first appearance
-    by_hash: dict[int, list[list]] = {}  # identity hash -> entries of merged
+    by_probe: dict[int, list[list]] = {}  # probe hash -> entries of merged
     hit_limit = True
     mass = 0.0
 
@@ -269,8 +311,8 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
         util = _tree_utilization(tree, topo, climbs)
         u_max = max(util.values())
         argmax = max(util, key=util.__getitem__)
-        key = _canonical(climbs)
-        same = by_hash.setdefault(hash(key), [])
+        same = by_probe.setdefault(hash(_canonical(climbs, probe=True)), [])
+        key = _canonical(climbs) if same else None
         entry = next((e for e in same if _canonical(e[0].climbs()) == key),
                      None)
         if entry is None:
@@ -299,26 +341,44 @@ def raecke_distribution(topo: Topology, seed: int = 0) -> TreeDistribution:
     return TreeDistribution(trees, dict(lengths), hit_iteration_limit=hit_limit)
 
 
-def _tree_paths(tree: RoutingTree, served: list[str]
-                ) -> Iterator[tuple[str, str, Path]]:
-    """Every ordered pair of distinct served switches with its tree walk,
+def _collapse(tree: RoutingTree, prob: float, served: list[str],
+              acc: dict[str, dict[str, dict[Path, float]]]) -> None:
+    """Add ``prob`` to ``acc[s][d][path]`` for every source s in ``acc``
+    and every other served switch d, path being the tree walk from s to d
     loop-shortcut to a simple path.
 
     Pairs are enumerated by their lowest common ancestor: the pairs under
     cluster c whose endpoints lie in different children of c.  The walk
     from s to d is X + B[1:], X being s's climb to c's representative and
     B the reversed climb of d.  X is shortcut once per source and level,
-    and ``graphops.meet`` joins it to B's shortcut suffix, each suffix
-    shortcut once per target and level, so the result equals
-    ``graphops.shortcut`` of the whole walk.
+    and ``graphops.meet`` joins it to B's shortcut suffix, so the result
+    equals ``graphops.shortcut`` of the whole walk.  X reversed and B are
+    suffixes of s's and d's *down walks*, the edge paths from the root
+    down to their leaves, so one down walk, position map and table of
+    erased suffixes per switch serve every level.
     """
-    climbs = {s: tree.climb(s) for s in served}
     level: dict[int, int] = {}
     under: dict[int, list[str]] = {}  # cluster -> its served switches
+    # switch -> its down walk, positions and erased suffixes, and where
+    # the representative of its cluster at each level sits in the walk
+    downs: dict[str, tuple] = {}
     for s in served:
-        for k, (i, _) in enumerate(climbs[s]):
+        chain = []  # s's clusters, leaf first
+        i = tree.leaf_index[s]
+        while i is not None:
+            chain.append(i)
+            i = tree.parent[i]
+        walk: list[str] = []
+        starts = []
+        for k, i in enumerate(reversed(chain)):
             level[i] = k
             under.setdefault(i, []).append(s)
+            # each edge path starts where the walk so far ends
+            walk += tree.edge_paths[i][1 if k else 0:]
+            starts.append(len(walk) - 1)
+        walk = tuple(walk)
+        at = graphops.positions(walk)
+        downs[s] = (walk, at, graphops.erased_suffixes(walk, at), starts)
     children: dict[int, list[list[str]]] = {}
     for i, p in enumerate(tree.parent):
         if p is not None and i in under:
@@ -327,24 +387,22 @@ def _tree_paths(tree: RoutingTree, served: list[str]
         if len(groups) < 2:
             continue
         k = level[c]
-        heads = {s: graphops.shortcut(climbs[s][k][1]) for s in under[c]}
-        downs = {}
-        for d in under[c]:
-            walk = climbs[d][k][1][::-1]
-            downs[d] = (walk, graphops.positions(walk), {})
         for group in groups:
-            for other in groups:
-                if other is group:
+            for s in group:
+                row = acc.get(s)
+                if row is None:
                     continue
-                for s in group:
-                    head = heads[s]
+                walk, _, _, up = downs[s]
+                head = graphops.shortcut(walk[up[k]:][::-1])
+                for other in groups:
+                    if other is group:
+                        continue
                     for d in other:
-                        walk, at, tails = downs[d]
-                        a, j = graphops.meet(head, at)
-                        tail = tails.get(j)
-                        if tail is None:
-                            tail = tails[j] = graphops.shortcut(walk[j:])
-                        yield s, d, head[:a] + tail
+                        _, at, tails, starts = downs[d]
+                        a, j = graphops.meet(head, at, starts[k])
+                        path = head[:a] + tails[j]
+                        paths = row[d]
+                        paths[path] = paths.get(path, 0.0) + prob
 
 
 def paths_from_distribution(dist: TreeDistribution, topo: Topology,
@@ -355,13 +413,28 @@ def paths_from_distribution(dist: TreeDistribution, topo: Topology,
     to a simple path) with the tree's probability; identical physical paths
     from different trees merge by summing.  ``model.lift`` cuts each switch
     pair to the optional path ``budget`` and attaches the host stubs, so
-    the unpruned host scheme is never built.  One tree's climbs are held
-    at a time.
+    the unpruned host scheme is never built.
+
+    The collapse runs in passes over groups of source switches, in the
+    order ``lift`` asks for them; a pass collapses every tree's pairs from
+    its group, at most ``_PASS_WALKS`` trees x pairs (one source at least),
+    and ``lift`` pops them, so the pair distributions of one pass are held
+    at a time.  n served switches take one pass when ``MAX_ITERATIONS`` x
+    n x (n - 1) <= ``_PASS_WALKS``, so up to 13 switches always do.
     """
-    served = sorted({topo.host_switch(h) for h in topo.hosts})
-    acc: dict[tuple[str, str], dict[Path, float]] = {}
-    for tree, prob in dist.trees:
-        for s, d, path in _tree_paths(tree, served):
-            paths = acc.setdefault((s, d), {})
-            paths[path] = paths.get(path, 0.0) + prob
-    return lift(topo, lambda s, d: normalized(acc.pop((s, d))), budget)
+    # the switches that serve hosts, in the order lift asks for sources
+    served = list(dict.fromkeys(topo.host_switch(h) for h in topo.hosts))
+    width = max(1, _PASS_WALKS // (len(dist.trees) * max(1, len(served) - 1)))
+    acc: dict[str, dict[str, dict[Path, float]]] = {}
+
+    def route(s: str, d: str) -> dict[Path, float]:
+        if s not in acc:
+            acc.clear()
+            first = served.index(s) // width * width
+            for u in served[first:first + width]:
+                acc[u] = {v: {} for v in served if v != u}
+            for tree, prob in dist.trees:
+                _collapse(tree, prob, served, acc)
+        return normalized(acc[s].pop(d))
+
+    return lift(topo, route, budget)

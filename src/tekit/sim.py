@@ -89,7 +89,8 @@ class SimConfig(algorithms.BuildConfig):
     flash_beta: float = 0.0
     flash_lag: int = 8
     flash_recovery_period: int = 200
-    #: optional per-TM override of failed links (used by case studies)
+    #: optional per-TM failed links in place of the phi schedule (``tekit
+    #: run`` passes the schedule it computed once for every algorithm)
     explicit_failures: tuple | None = None
 
     def __post_init__(self):
@@ -221,8 +222,15 @@ def _water_fill(capacity: np.ndarray, lane: np.ndarray, req: np.ndarray
     in that order.  Returns (each request's grant in input order, each
     lane's total, 0.0 for an idle lane).
     """
-    order = np.lexsort((req, lane))  # stable: equal requests keep flow order
-    used, counts = np.unique(lane[order], return_counts=True)
+    # by lane, then request, equal requests in flow order: two stable
+    # sorts, the lane key in the smallest unsigned dtype (numpy radix-sorts
+    # keys of 16 bits or fewer)
+    order = np.argsort(req, kind="stable")
+    key = lane[order].astype(np.min_scalar_type(len(capacity)))
+    order = order[np.argsort(key, kind="stable")]
+    counts = np.bincount(lane)
+    used = np.flatnonzero(counts)
+    counts = counts[used]
     deep = np.argsort(-counts, kind="stable")  # deepest lanes first
     lanes, starts = used[deep], (np.cumsum(counts) - counts)[deep]
     sizes = counts[deep].tolist()

@@ -148,7 +148,8 @@ def reference_vlb(topo):
     and then shortcut."""
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
-    best = {s: graphops.dijkstra(adj, lengths, s)[1] for s in topo.switches}
+    graph = graphops.weighted(adj, lengths)
+    best = {s: graphops.dijkstra(graph, s)[1] for s in topo.switches}
 
     def route(s, d):
         intermediates = [i for i in topo.switches if i not in (s, d)]

@@ -117,8 +117,8 @@ def test_ecmp_searches_once_per_switch(monkeypatch):
     sources = []
     search = graphops.dijkstra
     monkeypatch.setattr(graphops, "dijkstra",
-                        lambda adj, lengths, s: sources.append(s)
-                        or search(adj, lengths, s))
+                        lambda graph, s: sources.append(s)
+                        or search(graph, s))
     ecmp(topo)
     assert len(topo.switches) == 12
     assert sorted(sources) == sorted(topo.switches)
@@ -130,7 +130,7 @@ def test_ksp_shares_spur_searches_across_targets(monkeypatch, abilene):
     searches = []
     search = graphops.dijkstra
     monkeypatch.setattr(graphops, "dijkstra",
-                        lambda *args: searches.append(args[2])
+                        lambda *args: searches.append(args[1])
                         or search(*args))
     ksp(abilene)
     assert len(searches) == 473

@@ -192,6 +192,21 @@ def test_run_infeasible_failures_and_flash_exit_2(topo_name, rates, extra,
     assert not (tmp_path / "r").exists()
 
 
+def test_run_computes_the_failure_schedule_once(topo_path, demand_files,
+                                                tmp_path, monkeypatch):
+    calls = []
+    schedule = tekit.sim.failure_schedule
+    monkeypatch.setattr(tekit.sim, "failure_schedule",
+                        lambda *args: calls.append(args) or schedule(*args))
+    rc = main(["run", "--topo", topo_path,
+               "--tms", f"{demand_files}.actual.tms",
+               "--pred", f"{demand_files}.predicted.tms",
+               "--algos", "spf,ecmp,ksp,raecke", "--steps", "2",
+               "--fail-num", "1", "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_run_every_algorithm_on_one_switch(tmp_path):
     topo = tmp_path / "one.topo"
     topo.write_text(ONE_SWITCH)

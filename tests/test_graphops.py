@@ -26,7 +26,7 @@ def test_dijkstra_matches_enumeration(seed):
     adj, lengths = _adj_and_lengths(topo)
     switches = topo.switches
     for s in switches:
-        _, best = graphops.dijkstra(adj, lengths, s)
+        _, best = graphops.dijkstra(graphops.weighted(adj, lengths), s)
         for t in switches:
             if s != t:
                 assert best[t] == brute_shortest(adj, lengths, s, t)
@@ -41,8 +41,8 @@ def test_min_cost_paths_matches_enumeration(seed):
     for _ in range(5):
         s, t = rng.choice(len(switches), size=2, replace=False)
         s, t = switches[s], switches[t]
-        radj, rlengths = graphops.reversed_graph(adj, lengths)
-        dist_to = graphops.dijkstra(radj, rlengths, t)[0]
+        rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
+        dist_to = graphops.dijkstra(rgraph, t)[0]
         assert (graphops.min_cost_paths(adj, lengths, s, t, dist_to)
                 == brute_min_cost_set(adj, lengths, s, t))
 
@@ -125,8 +125,8 @@ def test_dijkstra_with_bans_matches_reference(graph, data):
     banned_nodes = data.draw(st.sets(st.sampled_from(nodes))) - {source}
     banned_edges = (data.draw(st.sets(st.sampled_from(list(lengths))))
                     if lengths else set())
-    dist, best = graphops.dijkstra(adj, lengths, source, banned_nodes,
-                                   banned_edges)
+    dist, best = graphops.dijkstra(graphops.weighted(adj, lengths), source,
+                                   banned_nodes, banned_edges)
     for t in nodes:
         try:
             expected = reference_shortest_path(adj, lengths, source, t,
@@ -143,9 +143,9 @@ def test_dijkstra_with_bans_matches_reference(graph, data):
 @given(graph=_directed_graphs())
 def test_min_cost_paths_matches_enumeration_property(graph):
     adj, lengths = graph
-    radj, rlengths = graphops.reversed_graph(adj, lengths)
+    rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
     for t in adj:
-        dist_to = graphops.dijkstra(radj, rlengths, t)[0]
+        dist_to = graphops.dijkstra(rgraph, t)[0]
         for s in adj:
             if s == t:
                 continue
@@ -160,17 +160,18 @@ def test_min_cost_paths_matches_enumeration_property(graph):
 def test_unreachable_pair_raises():
     adj = {"a": ("b",), "b": (), "c": ("b",)}
     lengths = {("a", "b"): 1.0, ("c", "b"): 1.0}
-    radj, rlengths = graphops.reversed_graph(adj, lengths)
-    assert "a" not in graphops.dijkstra(adj, lengths, "b")[1]
+    graph = graphops.weighted(adj, lengths)
+    rgraph = graphops.reversed_graph(graph)
+    assert "a" not in graphops.dijkstra(graph, "b")[1]
     assert "b" not in graphops.dijkstra(
-        adj, lengths, "a", banned_edges={("a", "b")})[1]
+        graph, "a", banned_edges={("a", "b")})[1]
     with pytest.raises(UnreachablePair):
         graphops.k_shortest_paths(adj, lengths, "a", ["c"], 3)
     with pytest.raises(UnreachablePair, match="c -> a"):
         graphops.k_shortest_paths(adj, lengths, "c", ["b", "a"], 3)
     with pytest.raises(UnreachablePair):
         graphops.min_cost_paths(adj, lengths, "a", "c",
-                                graphops.dijkstra(radj, rlengths, "c")[0])
+                                graphops.dijkstra(rgraph, "c")[0])
 
 
 def test_yen_handles_fewer_paths_than_k(line4):

@@ -11,7 +11,7 @@ from tekit.demand import GravityState, gravity_tm, mh_step
 from tekit.raecke import (RoutingTree, frt_tree, paths_from_distribution,
                           raecke_distribution, stretch)
 
-from conftest import build_topology, random_topology
+from conftest import TIED_LENGTHS, build_topology, random_topology
 from helpers import reference_raecke_paths, scheme_items
 
 
@@ -276,3 +276,57 @@ def test_paths_match_reference_on_hand_built_tree():
     for t in (topo, every):
         assert scheme_items(paths_from_distribution(dist, t)) == scheme_items(
             reference_raecke_paths(dist, t))
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Small directed graphs, some nodes possibly unreachable, with tied
+    dyadic lengths or arbitrary non-negative floats."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    arcs = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                   st.sampled_from(nodes))
+                         .filter(lambda a: a[0] != a[1]), unique=True))
+    lengths = draw(st.sampled_from([
+        TIED_LENGTHS, st.floats(0.0, 1e3, allow_nan=False)]))
+    adj = {u: tuple(v for (w, v) in arcs if w == u) for u in nodes}
+    return graphops.weighted(adj, {a: draw(lengths) for a in arcs})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_weighted_graphs())
+def test_array_distances_equal_dijkstra_bit_for_bit(graph):
+    nodes = list(graph)
+    dist = raecke._distances(graph, nodes)
+    for i, s in enumerate(nodes):
+        expected = graphops.dijkstra(graph, s)[0]
+        for j, v in enumerate(nodes):
+            assert dist[i, j] == expected.get(v, math.inf)
+
+
+def test_frt_tree_searches_from_parent_representatives_only(abilene,
+                                                            monkeypatch):
+    sources = []
+    search = graphops.dijkstra
+    monkeypatch.setattr(graphops, "dijkstra",
+                        lambda graph, s: sources.append(s) or search(graph, s))
+    tree = frt_tree(abilene, graphops.inverse_capacity_lengths(abilene), 4)
+    assert sorted(sources) == sorted(
+        {tree.reps[p] for p in tree.parent if p is not None})
+
+
+@pytest.mark.parametrize("topo, seed", [
+    (tekit.load_bundled_topology("abilene"), 7),
+    (tekit.load_bundled_topology("path8"), 3),
+    # walks that revisit switches, so the levels' walks start apart
+    (random_topology(902, n_switches=20, extra_links=12), 2),
+], ids=["abilene", "path8", "random20"])
+def test_collapse_one_source_per_pass_matches_reference(topo, seed,
+                                                        monkeypatch):
+    dist = raecke_distribution(topo, seed)
+    want = scheme_items(reference_raecke_paths(dist, topo))
+    assert scheme_items(paths_from_distribution(dist, topo)) == want
+    monkeypatch.setattr(raecke, "_PASS_WALKS", 1)
+    assert scheme_items(paths_from_distribution(dist, topo)) == want
+    assert scheme_items(paths_from_distribution(dist, topo, 2)) == (
+        scheme_items(tekit.prune_to_budget(reference_raecke_paths(dist, topo),
+                                           2)))

@@ -98,6 +98,27 @@ def test_water_filling_matches_dict_reference(cap, reqs):
         reference_water_fill(cap, reqs))
 
 
+@pytest.mark.parametrize("n_lanes", [40, 300, (1 << 16) + 40])
+def test_water_fill_serves_in_lexsort_order(n_lanes):
+    """The two stable sorts order requests as ``np.lexsort((req, lane))``
+    does, whatever dtype holds the lanes (8, 16 or 32 bits)."""
+    rng = np.random.default_rng(n_lanes)
+    capacity = rng.choice([0.7, 1.0, 3.3], size=n_lanes)
+    lane = rng.choice(np.r_[0:20, n_lanes - 20:n_lanes], size=600)
+    req = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0], size=600)
+    served = {}
+    for i in np.lexsort((req, lane)).tolist():
+        served.setdefault(int(lane[i]), {})[i] = float(req[i])
+    want, want_totals = np.zeros(len(req)), np.zeros(n_lanes)
+    for ln, reqs in served.items():
+        for i, grant in reference_water_fill(capacity[ln], reqs).items():
+            want[i] = grant
+            want_totals[ln] += grant
+    give, totals = sim._water_fill(capacity, lane, req)
+    assert give.tolist() == want.tolist()
+    assert totals.tolist() == want_totals.tolist()
+
+
 # -- the array fluid step ------------------------------------------------------
 
 #: small capacities saturate links; most fair shares of them do not
