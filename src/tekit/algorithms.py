@@ -14,6 +14,12 @@ Every solve leaves one ``Solve`` record on ``SchemeDriver.solves``: its
 label, wall time and, if the solver stopped at its phase limit, the limit's
 message.  The simulator routes its recovery and flash re-balances through
 the same list, and ``limit_events`` renders the phase-limit reports from it.
+
+A driver chains its per-matrix solves: it keeps one ``mcf.WarmStart`` per
+solver, so each ``mcf_mw`` or ``semi_mcf`` solve (the simulator's recovery
+and flash re-balances included) starts from the weights of the previous
+certified one when both saw the same usable switch edges.  Base builds
+start uniform.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import baseline, raecke
-from .mcf import (MwConfig, PhaseLimitError, demand_envelope, mcf_mw,
-                  semi_mcf, semi_mcf_ft_env)
+from .mcf import (MwConfig, PhaseLimitError, WarmStart, demand_envelope,
+                  mcf_mw, semi_mcf, semi_mcf_ft_env)
 from .model import (OBLIVIOUS_TAGS, AlgorithmKind, Scheme, Topology,
                     TrafficMatrix, prune_to_budget)
 
@@ -78,19 +84,21 @@ def oblivious_scheme(tag: str, topo: Topology, cfg: BuildConfig) -> Scheme:
 
 
 def reweight(topo: Topology, base: Scheme, tm: TrafficMatrix,
-             mw: MwConfig = MwConfig()) -> Scheme:
+             mw: MwConfig = MwConfig(), warm: WarmStart | None = None
+             ) -> Scheme:
     """Re-balance rates over fixed paths, tolerating stranded pairs.
 
     Pairs without a path (e.g. every path crossed a failed link) keep an
     empty entry and have their demand ignored by the solver — the simulator
     accounts it as failure loss.  If the solver stops without a certificate,
     the PhaseLimitError propagates with the best-so-far scheme, stranded
-    pairs included, attached as ``.solution.scheme``.
+    pairs included, attached as ``.solution.scheme``.  ``warm`` chains
+    the solve as ``semi_mcf`` does.
     """
     routed = np.array([[bool(base.get((s, d))) for d in tm.hosts]
                        for s in tm.hosts])
     routable = TrafficMatrix(tm.hosts, np.where(routed, tm.rates, 0.0))
-    return semi_mcf(topo, routable, base, mw).scheme
+    return semi_mcf(topo, routable, base, mw, warm).scheme
 
 
 class SchemeDriver:
@@ -98,6 +106,8 @@ class SchemeDriver:
 
     ``base`` holds the paths an oblivious or semi-oblivious kind keeps for
     the whole run (None for conscious kinds, which solve per matrix).
+    ``mcf_warm`` and ``semi_warm`` chain the run's ``mcf_mw`` and
+    ``semi_mcf`` solves.
     """
 
     def __init__(self, topo: Topology, kind: AlgorithmKind,
@@ -107,6 +117,8 @@ class SchemeDriver:
         self.cfg = cfg
         self.solves: list[Solve] = []
         self.base: Scheme | None = None
+        self.mcf_warm = WarmStart()
+        self.semi_warm = WarmStart()
 
         name, tag = kind.name, kind.tag
         if kind.category == "oblivious":
@@ -156,7 +168,8 @@ class SchemeDriver:
         if kind.category == "semi-oblivious":
             return self.timed(f"{kind.name} reweight tm{t}",
                               lambda: reweight(self.topo, self.base,
-                                               predicted, self.cfg.mw))
+                                               predicted, self.cfg.mw,
+                                               self.semi_warm))
         if kind.tag == "optimalmcf":
             topo, tm = topo_current, actual
         else:  # mcf
@@ -168,7 +181,8 @@ class SchemeDriver:
         """Paths and rates solved afresh for ``tm`` on ``topo_current``,
         budgeted, and timed under ``label``."""
         return self._budgeted(self.timed(
-            label, lambda: mcf_mw(topo_current, tm, self.cfg.mw).scheme))
+            label, lambda: mcf_mw(topo_current, tm, self.cfg.mw,
+                                  self.mcf_warm).scheme))
 
 
 def make_scheme(name: str, topo: Topology, tm: TrafficMatrix | None = None,

@@ -32,6 +32,11 @@ differ only in where paths come from:
   minimum (``np.minimum.reduceat``), which is how fixed-path schemes get
   their sending rates re-balanced as demands evolve.
 
+A caller that solves a sequence of matrices (``algorithms.SchemeDriver``)
+passes a ``WarmStart``: each solve then starts from the previous certified
+solve's final weights, mixed with a uniform share, as long as both saw the
+same usable switch edges.  A solve without one starts from uniform weights.
+
 Floating-point results depend on a few orders, and each is fixed.  Switch
 edges are indexed in sorted order (not ``topo.edges`` order): the edge
 lengths, loads and the maximum utilization are computed over that index,
@@ -134,10 +139,44 @@ def _finish(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
     return sol
 
 
-#: Multiplicative-weights learning rate.  Decoupled from the certified
-#: accuracy: the primal/dual certificate alone guarantees the returned gap,
-#: the rate only affects how fast the certificate is reached.
+#: Multiplicative-weights learning rate.  Not tied to the requested
+#: accuracy: a returned gap is always the certified one, but a fixed rate
+#: also limits how close the averaged flow and the bound can get, so an
+#: accuracy much below the rate may never be certified (on some small
+#: topologies 0.02 stalls at a 4.6 % gap) and ends at the phase limit.
 MW_ETA = 0.25
+
+#: Uniform share of a warm start: carried weights w start a solve at
+#: (1 - s) * w / sum(w) + s / m over the m switch edges.  Every start
+#: weight is then at least s / m, so the KL divergence of any target
+#: weights from the start is at most ln(m / s), ln(1 / s) above the
+#: uniform start's ln m (the fixed-share update of Herbster and Warmuth,
+#: 1998).  With s = 0 a chain of solves can drift into weights from which
+#: it stalls.
+MW_START_UNIFORM = 0.1
+
+
+class WarmStart:
+    """The final edge weights of one certified solve, carried into the
+    next solve of the same solver.
+
+    A solver given a ``WarmStart`` starts from the carried weights, mixed
+    with ``MW_START_UNIFORM``, if they were learnt over the same usable
+    switch edges (``edges``), and uniformly otherwise.  It then leaves its
+    own final weights here, or nothing if it stopped at its phase limit.
+    Each caller that chains solves owns its own carry.
+    """
+
+    def __init__(self):
+        self.edges = None
+        self.weights: np.ndarray | None = None
+
+    def start(self, edges) -> np.ndarray | None:
+        """The start for a solve over ``edges``; None for uniform."""
+        if self.weights is None or edges != self.edges:
+            return None
+        w = self.weights / self.weights.sum()
+        return (1.0 - MW_START_UNIFORM) * w + MW_START_UNIFORM / len(w)
 
 
 class _PathPool:
@@ -191,7 +230,8 @@ def _switch_edges(topo: Topology
 
 
 def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
-             pool: _PathPool, oracle, cfg: MwConfig
+             pool: _PathPool, oracle, cfg: MwConfig,
+             warm: WarmStart | None = None, edges=None
              ) -> tuple[list[dict[Path, float]], int, float, bool]:
     """Shared multiplicative-weights loop over a path pool.
 
@@ -201,11 +241,18 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     length), both in commodity order; it may append new paths to ``pool``
     first.  Returns each commodity's path shares in the best averaged
     iterate, the iterations run, the certified lower bound in demand units,
-    and whether the gap was certified.
+    and whether the gap was certified.  With ``warm`` the loop starts from
+    its weights for the usable switch edges ``edges`` and hands its final
+    weights back to it.
+
+    The bound stays valid from any start: for positive weights w, the
+    demand-weighted shortest-path lengths under w / c over sum(c * w)
+    bound every routing's maximum utilization from below (weak duality).
     """
     m = len(cap)
     chat = cap / cap.max()
-    w = np.full(m, 1.0 / m)
+    start = None if warm is None else warm.start(edges)
+    w = np.full(m, 1.0 / m) if start is None else start
     load_sum = np.zeros(m)
     counts = np.zeros(len(pool), dtype=np.int64)
     first = np.zeros(len(pool), dtype=np.int64)
@@ -235,6 +282,9 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
         w = w * np.exp(np.minimum(load / chat, 1000.0) * log_eta)
         w /= w.sum()
 
+    converged = best_ub <= grow * best_lb
+    if warm is not None:
+        warm.edges, warm.weights = edges, w if converged else None
     # each commodity lists its paths in the order they were first chosen,
     # so ``normalized`` sums the shares in a fixed order
     used = np.flatnonzero(best_counts)
@@ -244,18 +294,19 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     for i, c in zip(order.tolist(), best_counts[order].tolist()):
         shares[pool.owner[i]][pool.paths[i]] = c / best_t
     return ([normalized(dist) for dist in shares], t,
-            best_lb * d_ref / float(cap.max()), best_ub <= grow * best_lb)
+            best_lb * d_ref / float(cap.max()), converged)
 
 
-def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
-           ) -> FlowSolution:
+def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig(),
+           warm: WarmStart | None = None) -> FlowSolution:
     """Fractional flow minimizing the maximum link utilization.
 
     Demands are aggregated per switch pair and routed freely over the switch
     graph.  Pairs with zero demand receive their shortest path with
     probability 1 so every consumer downstream sees full pair coverage.
     Raises PhaseLimitError (solution attached) if the certificate is not
-    reached within max_phases.
+    reached within max_phases.  With ``warm`` the solve starts from the
+    weights it carries if they were learnt over the same switch edges.
     """
     spf_scheme = spf(topo)
     scheme: Scheme = {}
@@ -310,7 +361,8 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
                 dists.append(dist[d])
         return np.array(chosen, dtype=np.intp), np.array(dists)
 
-    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg)
+    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg,
+                                    warm, tuple(edge_index))
     for pair, sw_key in pair_sw.items():
         scheme[pair] = normalized({attach_stubs(*pair, p): v for p, v
                                    in shares[commodity[sw_key]].items()})
@@ -318,12 +370,16 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig()
 
 
 def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
-             cfg: MwConfig = MwConfig()) -> FlowSolution:
+             cfg: MwConfig = MwConfig(), warm: WarmStart | None = None
+             ) -> FlowSolution:
     """Re-balance sending rates over a fixed base path set.
 
     Same objective and certificate as mcf_mw, but each pair may only use its
     base paths, so the output's path set per pair is a subset of the base.
-    Pairs with zero demand keep their base distribution unchanged.
+    Pairs with zero demand keep their base distribution unchanged.  With
+    ``warm`` the solve starts from the weights it carries if they were
+    learnt over the same switch edges and the same edges of the paths of
+    the pairs with demand.
     """
     scheme: Scheme = {}
     missing = []
@@ -374,7 +430,11 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
                                      starts)
         return chosen, plens[chosen]
 
-    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg)
+    # a Python set: building it with np.unique raised a run's peak memory
+    usable = (None if warm is None
+              else (tuple(edge_index), frozenset(hops.tolist())))
+    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg,
+                                    warm, usable)
     scheme.update(zip(pairs, shares))
     return _finish(topo, scheme, tm, cfg, *certificate)
 

@@ -58,7 +58,7 @@ import numpy as np
 from . import algorithms
 from .baseline import spf
 from .demand import flash_burst, flash_burst_rates, flash_sink
-from .mcf import MwConfig, evaluate_scheme
+from .mcf import MwConfig, WarmStart, evaluate_scheme
 from .model import (AlgorithmKind, Scheme, Topology, TopologyError,
                     TrafficMatrix, both_directions, churn, normalized,
                     path_edges)
@@ -328,17 +328,19 @@ def _surviving(scheme: Scheme, dead: frozenset) -> Scheme:
 
 
 def recover_local(scheme: Scheme, failed, kind: AlgorithmKind, topo: Topology,
-                  tm: TrafficMatrix, mw: MwConfig = MwConfig()) -> Scheme:
+                  tm: TrafficMatrix, mw: MwConfig = MwConfig(),
+                  warm: WarmStart | None = None) -> Scheme:
     """Edge-local failure response: drop paths through failed links, then
     re-balance.  Adaptive-weight kinds re-solve their rates for ``tm`` over
     the surviving paths; everything else just renormalizes.  Pairs left
     with no surviving path keep an empty entry — their traffic becomes
-    failure loss downstream, never an error.
+    failure loss downstream, never an error.  ``warm`` chains the re-solve
+    as ``semi_mcf`` does.
     """
     dead = both_directions(failed)
     survived = _surviving(scheme, dead)
     if kind.category == "semi-oblivious":
-        return algorithms.reweight(topo, survived, tm, mw)
+        return algorithms.reweight(topo, survived, tm, mw, warm)
     return {pair: normalized(dist) for pair, dist in survived.items()}
 
 
@@ -533,7 +535,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                 scheme = driver.timed(
                     f"{kind.name} local recovery tm{t}",
                     lambda: recover_local(installed, failed, kind, topo, ptm,
-                                          cfg.mw))
+                                          cfg.mw, driver.semi_warm))
         churn_tl.append(0 if prev_installed is None
                         else churn(prev_installed, installed))
         paths_tl.append(sum(len(d) for d in installed.values()))
@@ -562,7 +564,7 @@ def simulate(topo: Topology, scheme_source: AlgorithmKind | str,
                     step_scheme = driver.timed(
                         f"{kind.name} flash reweight tm{t} step{begin}",
                         lambda: algorithms.reweight(topo, live, observed,
-                                                    cfg.mw))
+                                                    cfg.mw, driver.semi_warm))
                 table = PathTable(topo, step_scheme, atm.hosts, dead)
             end = min(begin + period, cfg.steps_per_tm)
             entries = max(1, len(table.hops) + len(table.cell))

@@ -172,11 +172,13 @@ def scheme_items(scheme):
             for pair, dist in scheme.items()]
 
 
-def lp_min_max_congestion(topo, commodities):
+def lp_min_max_congestion(topo, commodities, paths=None):
     """Exact min-max utilization over all simple switch paths (LP oracle).
 
     ``commodities`` is a list of (src_switch, dst_switch, demand).  Returns
-    the optimal theta considering switch-switch edges only.
+    the optimal theta considering switch-switch edges only.  ``paths``, if
+    given, lists each commodity's allowed switch paths: the optimum over a
+    fixed path set, as ``semi_mcf`` solves it.
     """
     adj = graphops.switch_graph(topo)
     switch_edges = sorted(graphops.weight_lengths(topo))
@@ -185,7 +187,9 @@ def lp_min_max_congestion(topo, commodities):
 
     all_paths = []  # (commodity index, edge index list)
     for ci, (s, t, _) in enumerate(commodities):
-        for p in enumerate_simple_paths(adj, s, t):
+        allowed = (enumerate_simple_paths(adj, s, t) if paths is None
+                   else paths[ci])
+        for p in allowed:
             hops = [eidx[(p[i], p[i + 1])] for i in range(len(p) - 1)]
             all_paths.append((ci, hops))
 

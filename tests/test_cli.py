@@ -513,6 +513,24 @@ def test_run_parallel_matches_serial(topo_path, demand_files, tmp_path,
         assert p.read_bytes() == (par / p.name).read_bytes(), p.name
 
 
+def test_run_parallel_matches_serial_with_chained_solves(
+        topo_path, demand_files, tmp_path, monkeypatch):
+    """Every algorithm chains its solves' weights within its own run, so a
+    worker process writes the serial bytes."""
+    args = ["run", "--topo", topo_path,
+            "--tms", f"{demand_files}.actual.tms",
+            "--pred", f"{demand_files}.predicted.tms",
+            "--algos", "mcf,semimcfraecke", "--steps", "2", "--seed", "2",
+            "--fail-num", "1", "--recovery", "local", "--budget", "3"]
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setenv("TEKIT_PARALLEL", "2")
+    assert main(args + ["--out", str(tmp_path / "par")]) == 0
+    (serial,) = (tmp_path / "serial").iterdir()
+    (par,) = (tmp_path / "par").iterdir()
+    for p in sorted(serial.iterdir()):
+        assert p.read_bytes() == (par / p.name).read_bytes(), p.name
+
+
 def test_gen_demands_disconnected_topology_exits_2(tmp_path, capsys):
     topo = tmp_path / "split.topo"
     topo.write_text("node s1 switch\nnode s2 switch\nnode h1 host\n"

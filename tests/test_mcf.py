@@ -7,6 +7,7 @@ import tekit
 from tekit import (EmptyWindowError, MissingPathsError, MwConfig,
                    PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
                    mcf_mw, semi_mcf, semi_mcf_ft_env, spf, validate_scheme)
+from tekit.mcf import WarmStart
 from tekit.model import Edge, Topology, TopologyError, TrafficMatrix
 
 from conftest import build_topology, random_topology, tm_of
@@ -406,3 +407,88 @@ def test_semi_mcf_certificate_property(seed, n_switches, extra_links, acc, k):
 def test_tight_accuracy_certifies_on_small_topology():
     topo, tm = _random_case(197, 5, 1)
     mcf_mw(topo, tm, MwConfig(accuracy=0.02))
+
+
+# -- warm starts across a chain of matrices ---------------------------------
+
+def test_empty_carry_solves_as_a_direct_call(abilene):
+    """A carry that holds no weights yet starts uniform: both solvers give
+    the pinned direct call's iterations and scheme, and the carry then
+    holds the final weights."""
+    tm, base = _abilene_pin_inputs(abilene)
+    for solve in (lambda warm: mcf_mw(abilene, tm, MwConfig(), warm),
+                  lambda warm: semi_mcf(abilene, tm, base, MwConfig(), warm)):
+        warm = WarmStart()
+        chained, direct = solve(warm), solve(None)
+        assert chained.iterations == direct.iterations
+        assert chained.scheme == direct.scheme
+        assert warm.weights is not None
+
+
+def _perturbed_chain(tm, seed, length=3):
+    """``tm`` and ``length - 1`` successors, each scaling every rate of the
+    one before by a factor drawn from [0.7, 1.3]."""
+    rng = np.random.default_rng([seed, 1])
+    chain = [tm]
+    while len(chain) < length:
+        chain.append(TrafficMatrix(tm.hosts, chain[-1].rates
+                                   * rng.uniform(0.7, 1.3, tm.rates.shape)))
+    return chain
+
+
+def _judge_warm_chain(topo, chain, solve, acc, base=None):
+    """Solve ``chain`` in order through one carry, as a driver does, and
+    hold every solve to the exact LP optimum (over ``base``'s paths, if
+    given): its lower bound is at most the optimum, and a certified
+    solve's largest switch-edge utilization is within ``acc`` of it."""
+    warm = WarmStart()
+    for tm in chain:
+        pairs = [pair for pair in tm.pairs() if tm.get(*pair) > 0]
+        commodities = [(topo.host_switch(s), topo.host_switch(d), tm.get(s, d))
+                       for s, d in pairs]
+        paths = (None if base is None
+                 else [[p[1:-1] for p in base[pair]] for pair in pairs])
+        opt = lp_min_max_congestion(topo, commodities, paths)
+        try:
+            sol, converged = solve(tm, warm), True
+        except PhaseLimitError as exc:
+            sol, converged = exc.solution, False
+        assert sol.lower_bound <= opt * (1 + 1e-9)
+        if converged:
+            worst = max(sol.per_edge_util[e] for e in topo.switch_edges)
+            assert worst <= (1 + acc) * opt * (1 + 1e-9)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(**_case)
+def test_mcf_mw_warm_chain_against_lp(seed, n_switches, extra_links, acc):
+    topo, tm = _random_case(seed, n_switches, extra_links)
+    assume(tm.total() > 0)
+    cfg = MwConfig(accuracy=acc)
+    _judge_warm_chain(topo, _perturbed_chain(tm, seed),
+                      lambda m, warm: mcf_mw(topo, m, cfg, warm), acc)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), **_case)
+def test_semi_mcf_warm_chain_against_lp(seed, n_switches, extra_links, acc, k):
+    topo, tm = _random_case(seed, n_switches, extra_links)
+    assume(tm.total() > 0)
+    base = ksp(topo, k)
+    cfg = MwConfig(accuracy=acc)
+    _judge_warm_chain(topo, _perturbed_chain(tm, seed),
+                      lambda m, warm: semi_mcf(topo, m, base, cfg, warm), acc,
+                      base)
+
+
+def test_warm_chain_of_the_evolving_sweep_never_stalls(abilene):
+    """The 100 evolving abilene matrices of the acceptance sweep, solved
+    through one carry, all certify within the phase limit; a pure warm
+    start (no uniform share) stops on some of them."""
+    from tekit.demand import GravityState, gravity_tm, mh_step
+    state = GravityState.initial(abilene.hosts, seed=0)
+    warm = WarmStart()
+    for _ in range(100):
+        mcf_mw(abilene, gravity_tm(state, 1e9), MwConfig(), warm)
+        assert warm.weights is not None
+        state = mh_step(state)

@@ -694,3 +694,101 @@ def test_make_scheme_warns_once_per_phase_limit(abilene, name, events):
         scheme = tekit.make_scheme(name, abilene, tm, cfg)
     assert len(caught) == events
     assert tekit.validate_scheme(scheme, abilene) == []
+
+
+# -- warm starts: which re-solves chain ------------------------------------
+
+def _record_starts(monkeypatch):
+    """Whether each solve given a carry starts from carried weights, in
+    solve order."""
+    from tekit.mcf import WarmStart
+    starts = []
+    start = WarmStart.start
+
+    def recording(self, edges):
+        out = start(self, edges)
+        starts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(WarmStart, "start", recording)
+    return starts
+
+
+def test_recovery_and_flash_rebalances_chain_by_usable_edges(abilene,
+                                                             monkeypatch):
+    """A flash re-balance over the installed paths' survivors starts from
+    the solve before it; a local recovery, whose surviving paths cross
+    other edges than the solve before, starts uniform."""
+    starts = _record_starts(monkeypatch)
+    tms = [gravity_tm(GravityState.initial(abilene.hosts, seed=s), 6e9)
+           for s in (1, 2)]
+    cfg = SimConfig(steps_per_tm=4, recovery="local", budget=3, seed=2,
+                    flash_beta=3.0, flash_recovery_period=2, flash_lag=0,
+                    explicit_failures=[(), (("s2", "s12"),)])
+    rep = simulate(abilene, "semimcfraecke", tms, tms, cfg)
+    assert [s.label for s in rep.solves] == [
+        "semimcfraecke base", "semimcfraecke reweight tm0",
+        "semimcfraecke flash reweight tm0 step2",
+        "semimcfraecke local recovery tm1",
+        "semimcfraecke flash reweight tm1 step2"]
+    assert starts == [False, True, False, True]
+
+
+def test_recovery_over_other_edges_runs_as_a_cold_solve(abilene, monkeypatch):
+    """With weights carried from the whole base, a local recovery runs the
+    same iterations, to the same scheme, as one with no carry; a flash
+    re-balance over the same survivors after it starts warm and needs
+    fewer."""
+    from tekit.algorithms import reweight
+    from tekit.demand import flash_burst, flash_sink
+    kind = AlgorithmKind.parse("semimcfraecke")
+    tm = gravity_tm(GravityState.initial(abilene.hosts, seed=3), 6e9)
+    driver = tekit.SchemeDriver(abilene, kind, [tm], SimConfig(budget=3))
+    driver.scheme_for(0, tm, tm, abilene)
+    assert driver.semi_warm.weights is not None
+    iterations = []
+    semi_mcf = tekit.algorithms.semi_mcf
+
+    def recording(*args):
+        sol = semi_mcf(*args)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(tekit.algorithms, "semi_mcf", recording)
+    failed = [("s2", "s12")]
+    chained = recover_local(driver.base, failed, kind, abilene, tm,
+                            MwConfig(), driver.semi_warm)
+    fresh = recover_local(driver.base, failed, kind, abilene, tm)
+    assert iterations[0] == iterations[1]
+    assert chained == fresh
+    live = sim._surviving(driver.base, both_directions(failed))
+    observed = flash_burst(tm, 3.0, 0, flash_sink(tm, 2, 0))
+    reweight(abilene, live, observed, MwConfig(), driver.semi_warm)
+    reweight(abilene, live, observed)
+    assert iterations[2] < iterations[3]
+
+
+def test_global_recovery_scaling_and_make_scheme_start_cold(abilene,
+                                                            monkeypatch):
+    """Global recovery solves on a driver of its own, so it starts uniform
+    and leaves the run's carry alone: the next matrix chains to the one
+    before the failure.  ``make_scheme`` and demand scaling start
+    uniform."""
+    starts = _record_starts(monkeypatch)
+    tms = [gravity_tm(GravityState.initial(abilene.hosts, seed=s), 5e9)
+           for s in (1, 2, 3)]
+    failed = (("s2", "s12"),)
+    reduced = abilene.without_links(failed)
+    cfg = SimConfig(steps_per_tm=1, recovery="global",
+                    explicit_failures=[(), failed, ()])
+    rep = simulate(abilene, "mcf", tms, tms, cfg)
+    assert [s.label for s in rep.solves] == [
+        "mcf solve tm0", "global recovery: mcf solve tm1", "mcf solve tm2"]
+    assert starts == [False, False, True]
+    kind = AlgorithmKind.parse("mcf")
+    scheme, _ = recover_global(1, kind, reduced, tms[1], cfg)
+    assert scheme == tekit.mcf_mw(reduced, tms[1]).scheme
+    assert tekit.make_scheme("mcf", abilene, tms[2]) == tekit.mcf_mw(
+        abilene, tms[2]).scheme
+    tekit.demand.scale_factor(abilene, tms[0], 1.0)
+    assert starts == [False, False, True, False, False]
