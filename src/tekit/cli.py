@@ -36,7 +36,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path as FsPath
@@ -266,6 +265,8 @@ def cmd_run(args) -> int:
             raise InputError(str(exc)) from exc
         cfg = replace(cfg, explicit_failures=tuple(failures))
         if workers > 1:
+            # imported here: a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_log_to_stderr,
                                      initargs=(args.verbose,)) as pool:

@@ -32,6 +32,16 @@ differ only in where paths come from:
   minimum (``np.minimum.reduceat``), which is how fixed-path schemes get
   their sending rates re-balanced as demands evolve.
 
+The rate of the weight update follows a halving schedule.  A solve
+starts at ``MW_ETA_START``, which moves the weights fast; once the
+averaged flow has stalled for ``MW_STALL_ITERATIONS`` iterations the rate
+halves, down to half the requested accuracy, and the average restarts
+from the next iteration (a new epoch), so it no longer carries the coarse
+early routings.  The weights, the best bound and the best averaged iterate
+so far carry across epochs.  The certificate does not change: the bound
+holds for any positive weights, and every epoch's average is a feasible
+flow.
+
 A caller that solves a sequence of matrices (``algorithms.SchemeDriver``)
 passes a ``WarmStart``: each solve then starts from the previous certified
 solve's final weights, mixed with a uniform share, as long as both saw the
@@ -43,7 +53,7 @@ lengths, loads and the maximum utilization are computed over that index,
 so changing it changes iteration counts.  Load is summed per edge in
 commodity order, the lower bound is a sequential sum in commodity order,
 and each pair's output distribution lists its paths in the order they were
-first chosen before it is normalized.
+first chosen in the solve, across epochs, before it is normalized.
 """
 
 from __future__ import annotations
@@ -139,12 +149,15 @@ def _finish(topo: Topology, scheme: Scheme, tm: TrafficMatrix,
     return sol
 
 
-#: Multiplicative-weights learning rate.  Not tied to the requested
-#: accuracy: a returned gap is always the certified one, but a fixed rate
-#: also limits how close the averaged flow and the bound can get, so an
-#: accuracy much below the rate may never be certified (on some small
-#: topologies 0.02 stalls at a 4.6 % gap) and ends at the phase limit.
-MW_ETA = 0.25
+#: Multiplicative-weights rate at the start of a solve.  A large rate
+#: moves the weights fast early on, but its averaged flow stalls short of
+#: a tight gap, so the rate halves on a stall (``MW_STALL_ITERATIONS``).
+MW_ETA_START = 1.0
+
+#: Iterations after which a solve whose averaged flow has not fallen by a
+#: relative 1e-3 below its epoch's best halves its rate, down to half the
+#: requested accuracy, and restarts the average (a new epoch).
+MW_STALL_ITERATIONS = 50
 
 #: Uniform share of a warm start: carried weights w start a solve at
 #: (1 - s) * w / sum(w) + s / m over the m switch edges.  Every start
@@ -233,7 +246,8 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
              pool: _PathPool, oracle, cfg: MwConfig,
              warm: WarmStart | None = None, edges=None
              ) -> tuple[list[dict[Path, float]], int, float, bool]:
-    """Shared multiplicative-weights loop over a path pool.
+    """Shared multiplicative-weights loop over a path pool, with the
+    halving rate schedule of the module docstring.
 
     ``cap`` holds the switch-edge capacities, ``demand`` the demand per
     commodity divided by their total ``d_ref``.  ``oracle`` maps the current
@@ -259,7 +273,11 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     best_ub, best_counts, best_t = math.inf, counts, 0
     best_lb = 0.0
     grow = 1.0 + cfg.accuracy
-    log_eta = math.log1p(MW_ETA)
+    eta, floor = MW_ETA_START, cfg.accuracy / 2
+    n = 0  # iterations in the current epoch
+    # the epoch's ub when it last fell by a relative 1e-3, and the
+    # iterations since
+    mark, since = math.inf, 0
 
     for t in range(1, cfg.max_phases + 1):
         chosen, dist = oracle(w / chat)
@@ -269,24 +287,36 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
         if len(pool) > len(counts):
             pad = (0, len(pool) - len(counts))
             counts, first = np.pad(counts, pad), np.pad(first, pad)
-        first[chosen[counts[chosen] == 0]] = t
+        first[chosen[first[chosen] == 0]] = t
         counts[chosen] += 1
+        n += 1
         hops, size = pool.hops_of(chosen)
         load = np.bincount(hops, weights=np.repeat(demand, size), minlength=m)
         load_sum += load
-        ub = float((load_sum / chat).max() / t)
+        ub = float((load_sum / chat).max() / n)
         if ub < best_ub:
-            best_ub, best_counts, best_t = ub, counts.copy(), t
+            best_ub, best_counts, best_t = ub, counts.copy(), n
         if best_ub <= grow * best_lb:
             break
-        w = w * np.exp(np.minimum(load / chat, 1000.0) * log_eta)
+        if ub < mark * (1.0 - 1e-3):
+            mark, since = ub, 0
+        else:
+            since += 1
+        if since >= MW_STALL_ITERATIONS and eta > floor:
+            # a new epoch averages afresh from the weights reached so far
+            eta = max(eta / 2, floor)
+            n, mark, since = 0, math.inf, 0
+            load_sum = np.zeros(m)
+            counts = np.zeros_like(counts)
+        w = w * np.exp(np.minimum(load / chat, 1000.0) * math.log1p(eta))
         w /= w.sum()
 
     converged = best_ub <= grow * best_lb
     if warm is not None:
         warm.edges, warm.weights = edges, w if converged else None
-    # each commodity lists its paths in the order they were first chosen,
-    # so ``normalized`` sums the shares in a fixed order
+    # each commodity lists its paths in the order they were first chosen
+    # in the solve (not the epoch), so ``normalized`` sums the shares in a
+    # fixed order
     used = np.flatnonzero(best_counts)
     owner = np.asarray(pool.owner)[used]
     order = used[np.lexsort((first[used], owner))]

@@ -179,11 +179,18 @@ def lp_min_max_congestion(topo, commodities, paths=None):
     the optimal theta considering switch-switch edges only.  ``paths``, if
     given, lists each commodity's allowed switch paths: the optimum over a
     fixed path set, as ``semi_mcf`` solves it.
+
+    Capacities and demands are divided by the largest switch capacity
+    before the solve.  That leaves theta unchanged and keeps the
+    coefficients near 1: HiGHS's default tolerances misjudge unscaled
+    inputs with capacities of 1e10 and demands of 1e6.
     """
     adj = graphops.switch_graph(topo)
     switch_edges = sorted(graphops.weight_lengths(topo))
     eidx = {e: i for i, e in enumerate(switch_edges)}
     caps = np.array([topo.edges[e].capacity for e in switch_edges])
+    unit = caps.max()
+    caps = caps / unit
 
     all_paths = []  # (commodity index, edge index list)
     for ci, (s, t, _) in enumerate(commodities):
@@ -196,7 +203,7 @@ def lp_min_max_congestion(topo, commodities, paths=None):
     n_vars = len(all_paths) + 1  # path flows + theta
     theta = n_vars - 1
     a_eq = np.zeros((len(commodities), n_vars))
-    b_eq = np.array([d for (_, _, d) in commodities], dtype=float)
+    b_eq = np.array([d for (_, _, d) in commodities], dtype=float) / unit
     for pi, (ci, _) in enumerate(all_paths):
         a_eq[ci, pi] = 1.0
     a_ub = np.zeros((len(switch_edges), n_vars))

@@ -531,6 +531,19 @@ def test_run_parallel_matches_serial_with_chained_solves(
         assert p.read_bytes() == (par / p.name).read_bytes(), p.name
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only a run with more than one worker loads the process pool, so a
+    serial run does not pay for importing multiprocessing."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tekit.__file__).resolve().parents[1]))
+    code = ("import sys, tekit.cli; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_gen_demands_disconnected_topology_exits_2(tmp_path, capsys):
     topo = tmp_path / "split.topo"
     topo.write_text("node s1 switch\nnode s2 switch\nnode h1 host\n"

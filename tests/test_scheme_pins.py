@@ -190,9 +190,9 @@ def test_tree_distribution_is_pinned(topologies, topo_name, seed):
 #: predicted matrices of ``generate_sequences(abilene, 3, seed=5)``
 ENVELOPE_PINS = {
     "semimcfmcfenv":
-        "2832c316e437f6064691b6b0a02f1f1d68b777c5c600c766ede0d36869686a04",
+        "412d35e4cbae3ca6f617be0a464c8375b4cb800680153a7f0c69c99638c0b723",
     "semimcfmcfftenv":
-        "a7d9335d894b07d6de2d9a7d25b6ac2bc8f8e62f2ba4db46931f7fe8f1cd4936",
+        "4cb493d92fb0cef5516071cb02eb39428bd013c4f40a27de4af0330446a2477a",
 }
 
 
