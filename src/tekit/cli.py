@@ -92,7 +92,8 @@ _CONFIG_FLAGS = {
 
 #: ``gen-demands`` flags by the ``demand.generate_sequences`` argument they
 #: set, which is also their destination on the parsed arguments.
-_GEN_FLAGS = {"seed": "--seed", "epsilon": "--prediction-error"}
+_GEN_FLAGS = {"seed": "--seed", "epsilon": "--prediction-error",
+              "scale": "--scale"}
 
 
 def _parse_args(argv):
@@ -243,8 +244,11 @@ def cmd_run(args) -> int:
             _log.info("note: demand scaling: %s", exc)
             factor = (demand.CONGESTION_PER_SCALE * args.scale
                       / exc.solution.max_congestion)
-        actual = [tm.scaled(factor) for tm in actual]
-        predicted = [tm.scaled(factor) for tm in predicted]
+        try:
+            actual = [tm.scaled(factor) for tm in actual]
+            predicted = [tm.scaled(factor) for tm in predicted]
+        except ValueError as exc:  # the factor overflows the rates
+            raise InputError(f"--scale {args.scale}: scaled {exc}") from exc
 
     base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
     run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"

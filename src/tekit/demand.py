@@ -271,6 +271,9 @@ def generate_sequences(topo: Topology, num_tms: int, seed: int = 0,
         state = mh_step(state)
     if scale is not None:
         factor = scale_factor(topo, actual[0], scale)
-        actual = [tm.scaled(factor) for tm in actual]
-        predicted = [tm.scaled(factor) for tm in predicted]
+        try:
+            actual = [tm.scaled(factor) for tm in actual]
+            predicted = [tm.scaled(factor) for tm in predicted]
+        except ValueError as exc:
+            raise ArgumentError("scale", f"scaled {exc}") from exc
     return actual, predicted

@@ -15,22 +15,22 @@ Both solvers are one pipeline: they turn the matrix into commodities
 (the pairs with positive demand, each divided by their total), run the
 shared array-based core, and hand its shares to one finisher that evaluates
 the scheme exactly and raises PhaseLimitError, with the solution attached,
-if the gap was not certified.  The core owns a *path pool*: every
-candidate path as flat switch-edge indices with per-path offsets and the
-commodity it serves.  An iteration asks an *oracle* for one pool index per
-commodity, adds one to that path's entry of an integer count vector, and
-accumulates edge load with ``np.bincount``; the best averaged iterate is a
-copy of the count vector, and its path shares per commodity, together with
-the lower bound in demand units, are the core's result.  The two oracles
-differ only in where paths come from:
+if the gap was not certified.  An iteration asks an *oracle* for the
+index of one candidate path per commodity and for the switch-edge indices
+those paths cross; the core adds one to each chosen path's entry of an
+integer count vector and accumulates edge load with ``np.bincount``.  The
+best averaged iterate is a copy of the count vector, and its path shares
+per commodity, together with the lower bound in demand units, are the
+core's result.  The two oracles differ only in where paths come from:
 
 * ``mcf_mw`` runs a Dijkstra per source switch over the whole switch graph
-  and appends each path it has not returned before to the pool (column
-  generation), so paths enter the pool as the weights discover them;
-* ``semi_mcf`` fills the pool once from a fixed base path set and picks each
-  pair's shortest base path with one (paths x edges) product and a segment
-  minimum (``np.minimum.reduceat``), which is how fixed-path schemes get
-  their sending rates re-balanced as demands evolve.
+  and appends each path it has not returned before to its candidate list
+  (column generation), so paths enter as the weights discover them;
+* ``semi_mcf`` flattens a fixed base path set into switch-edge index
+  arrays once and picks each pair's shortest base path with one
+  (paths x edges) product and a segment minimum (``np.minimum.reduceat``),
+  which is how fixed-path schemes get their sending rates re-balanced as
+  demands evolve.
 
 The rate of the weight update follows a halving schedule.  A solve
 starts at ``MW_ETA_START``, which moves the weights fast; once the
@@ -192,47 +192,6 @@ class WarmStart:
         return (1.0 - MW_START_UNIFORM) * w + MW_START_UNIFORM / len(w)
 
 
-class _PathPool:
-    """Candidate paths of every commodity, stored flat.
-
-    Path ``i`` serves commodity ``owner[i]`` and crosses the switch edges
-    ``hops[start[i]:start[i] + size[i]]`` (positions in the solver's sorted
-    switch-edge index).  Paths are appended, never removed.
-    """
-
-    def __init__(self):
-        self.paths: list[Path] = []
-        self.owner: list[int] = []
-        self._hops: list[np.ndarray] = []
-        self._flat = None  # (hops, start, size), rebuilt after an append
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def add(self, owner: int, path: Path, hops: list[int]) -> int:
-        self.paths.append(path)
-        self.owner.append(owner)
-        self._hops.append(np.array(hops, dtype=np.intp))
-        self._flat = None
-        return len(self.paths) - 1
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._flat is None:
-            size = np.array([len(h) for h in self._hops], dtype=np.intp)
-            self._flat = (np.concatenate(self._hops), np.cumsum(size) - size,
-                          size)
-        return self._flat
-
-    def hops_of(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Edge indices of the chosen paths, concatenated in order, and
-        each chosen path's hop count."""
-        hops, start, size = self.flat()
-        n = size[chosen]
-        ends = np.cumsum(n)
-        return hops[np.arange(ends[-1]) + np.repeat(start[chosen] - ends + n,
-                                                    n)], n
-
-
 def _switch_edges(topo: Topology
                   ) -> tuple[dict[tuple[str, str], int], np.ndarray]:
     """Each switch edge's position in sorted order, and the capacities in
@@ -243,21 +202,23 @@ def _switch_edges(topo: Topology
 
 
 def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
-             pool: _PathPool, oracle, cfg: MwConfig,
+             paths: list[Path], owner: list[int], oracle, cfg: MwConfig,
              warm: WarmStart | None = None, edges=None
              ) -> tuple[list[dict[Path, float]], int, float, bool]:
-    """Shared multiplicative-weights loop over a path pool, with the
-    halving rate schedule of the module docstring.
+    """Shared multiplicative-weights loop, with the halving rate schedule
+    of the module docstring.
 
     ``cap`` holds the switch-edge capacities, ``demand`` the demand per
-    commodity divided by their total ``d_ref``.  ``oracle`` maps the current
-    edge lengths to (pool index of each commodity's shortest path, its
-    length), both in commodity order; it may append new paths to ``pool``
-    first.  Returns each commodity's path shares in the best averaged
-    iterate, the iterations run, the certified lower bound in demand units,
-    and whether the gap was certified.  With ``warm`` the loop starts from
-    its weights for the usable switch edges ``edges`` and hands its final
-    weights back to it.
+    commodity divided by their total ``d_ref``.  Candidate path ``k`` is
+    ``paths[k]`` and serves commodity ``owner[k]``.  ``oracle`` maps the
+    current edge lengths to (the index of each commodity's shortest path,
+    its length, the switch-edge indices of those paths joined in commodity
+    order, each one's hop count); it may append new paths to ``paths`` and
+    ``owner`` first.  Returns each commodity's path shares in the best
+    averaged iterate, the iterations run, the certified lower bound in
+    demand units, and whether the gap was certified.  With ``warm`` the
+    loop starts from its weights for the usable switch edges ``edges`` and
+    hands its final weights back to it.
 
     The bound stays valid from any start: for positive weights w, the
     demand-weighted shortest-path lengths under w / c over sum(c * w)
@@ -268,8 +229,8 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     start = None if warm is None else warm.start(edges)
     w = np.full(m, 1.0 / m) if start is None else start
     load_sum = np.zeros(m)
-    counts = np.zeros(len(pool), dtype=np.int64)
-    first = np.zeros(len(pool), dtype=np.int64)
+    counts = np.zeros(len(paths), dtype=np.int64)
+    first = np.zeros(len(paths), dtype=np.int64)
     best_ub, best_counts, best_t = math.inf, counts, 0
     best_lb = 0.0
     grow = 1.0 + cfg.accuracy
@@ -280,17 +241,16 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     mark, since = math.inf, 0
 
     for t in range(1, cfg.max_phases + 1):
-        chosen, dist = oracle(w / chat)
+        chosen, dist, hops, size = oracle(w / chat)
         # sequential sums in commodity order keep the float results fixed
         lb = float(np.cumsum(demand * dist)[-1])
         best_lb = max(best_lb, lb)
-        if len(pool) > len(counts):
-            pad = (0, len(pool) - len(counts))
+        if len(paths) > len(counts):
+            pad = (0, len(paths) - len(counts))
             counts, first = np.pad(counts, pad), np.pad(first, pad)
         first[chosen[first[chosen] == 0]] = t
         counts[chosen] += 1
         n += 1
-        hops, size = pool.hops_of(chosen)
         load = np.bincount(hops, weights=np.repeat(demand, size), minlength=m)
         load_sum += load
         ub = float((load_sum / chat).max() / n)
@@ -318,11 +278,10 @@ def _mw_core(cap: np.ndarray, demand: np.ndarray, d_ref: float,
     # in the solve (not the epoch), so ``normalized`` sums the shares in a
     # fixed order
     used = np.flatnonzero(best_counts)
-    owner = np.asarray(pool.owner)[used]
-    order = used[np.lexsort((first[used], owner))]
+    order = used[np.lexsort((first[used], np.asarray(owner)[used]))]
     shares: list[dict[Path, float]] = [{} for _ in demand]
     for i, c in zip(order.tolist(), best_counts[order].tolist()):
-        shares[pool.owner[i]][pool.paths[i]] = c / best_t
+        shares[owner[i]][paths[i]] = c / best_t
     return ([normalized(dist) for dist in shares], t,
             best_lb * d_ref / float(cap.max()), converged)
 
@@ -370,29 +329,36 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig(),
     # commodity order
     sources = sorted({s for (s, _) in keys})
     targets = {s: [d for (s2, d) in keys if s2 == s] for s in sources}
-    pool = _PathPool()
+    # every path found so far, the commodity it serves and its edge indices
+    paths: list[Path] = []
+    owner: list[int] = []
+    path_hops: list[list[int]] = []
     known: dict[Path, int] = {}
 
     def oracle(lengths):
         lens = lengths.tolist()
         graph = {u: [(v, lens[e]) for v, e in arcs]
                  for u, arcs in out_edges.items()}
-        chosen, dists = [], []
+        chosen, dists, hops, size = [], [], [], []
         for s in sources:
             dist, best = graphops.dijkstra(graph, s)
             for d in targets[s]:
                 path = best[d]
                 k = known.get(path)
                 if k is None:
-                    k = known[path] = pool.add(
-                        commodity[(s, d)], path,
-                        [edge_index[h] for h in path_edges(path)])
+                    k = known[path] = len(paths)
+                    paths.append(path)
+                    owner.append(commodity[(s, d)])
+                    path_hops.append([edge_index[h] for h in path_edges(path)])
                 chosen.append(k)
                 dists.append(dist[d])
-        return np.array(chosen, dtype=np.intp), np.array(dists)
+                hops += path_hops[k]
+                size.append(len(path_hops[k]))
+        return (np.array(chosen, dtype=np.intp), np.array(dists),
+                np.array(hops, dtype=np.intp), np.array(size, dtype=np.intp))
 
-    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg,
-                                    warm, tuple(edge_index))
+    shares, *certificate = _mw_core(cap, demand, d_ref, paths, owner, oracle,
+                                    cfg, warm, tuple(edge_index))
     for pair, sw_key in pair_sw.items():
         scheme[pair] = normalized({attach_stubs(*pair, p): v for p, v
                                    in shares[commodity[sw_key]].items()})
@@ -436,35 +402,42 @@ def semi_mcf(topo: Topology, tm: TrafficMatrix, base: Scheme,
     edge_index, cap = _switch_edges(topo)
     pairs = sorted(pair for pair in base if tm.get(*pair) > 0)
     demand = np.array([tm.get(*pair) / d_ref for pair in pairs])
-    pool = _PathPool()
-    for j, pair in enumerate(pairs):
-        for path in sorted(base[pair]):
-            pool.add(j, path, [edge_index[h] for h in path_edges(path)
-                               if h in edge_index])
-    hops, _, size = pool.flat()
+    # path k serves pair owner[k] and crosses the switch edges
+    # hops[start[k]:start[k] + size[k]]
+    paths = [path for pair in pairs for path in sorted(base[pair])]
+    owner = [j for j, pair in enumerate(pairs) for _ in base[pair]]
+    path_hops = [[edge_index[h] for h in path_edges(path) if h in edge_index]
+                 for path in paths]
+    size = np.array([len(h) for h in path_hops], dtype=np.intp)
+    hops = np.array([e for h in path_hops for e in h], dtype=np.intp)
+    start = np.cumsum(size) - size
     if hops.size == 0:  # no commodity crosses a switch link
         scheme.update((pair, normalized(base[pair])) for pair in pairs)
         return _finish(topo, scheme, tm, cfg)
-    incidence = np.zeros((len(pool), len(cap)))
-    incidence[np.repeat(np.arange(len(pool)), size), hops] = 1.0
-    group_size = np.bincount(pool.owner)
+    incidence = np.zeros((len(paths), len(cap)))
+    incidence[np.repeat(np.arange(len(paths)), size), hops] = 1.0
+    group_size = np.bincount(owner)
     starts = np.cumsum(group_size) - group_size
-    index = np.arange(len(pool))
+    index = np.arange(len(paths))
 
     def oracle(lengths):
         plens = incidence @ lengths
         at_min = plens == np.repeat(np.minimum.reduceat(plens, starts),
                                     group_size)
         # first shortest path of each pair, as np.argmin would pick
-        chosen = np.minimum.reduceat(np.where(at_min, index, len(pool)),
+        chosen = np.minimum.reduceat(np.where(at_min, index, len(paths)),
                                      starts)
-        return chosen, plens[chosen]
+        n = size[chosen]
+        ends = np.cumsum(n)
+        return (chosen, plens[chosen],
+                hops[np.arange(ends[-1]) + np.repeat(start[chosen] - ends + n,
+                                                     n)], n)
 
     # a Python set: building it with np.unique raised a run's peak memory
     usable = (None if warm is None
               else (tuple(edge_index), frozenset(hops.tolist())))
-    shares, *certificate = _mw_core(cap, demand, d_ref, pool, oracle, cfg,
-                                    warm, usable)
+    shares, *certificate = _mw_core(cap, demand, d_ref, paths, owner, oracle,
+                                    cfg, warm, usable)
     scheme.update(zip(pairs, shares))
     return _finish(topo, scheme, tm, cfg, *certificate)
 

@@ -218,7 +218,10 @@ class TrafficMatrix:
                     yield (s, d)
 
     def scaled(self, factor: float) -> "TrafficMatrix":
-        return TrafficMatrix(self.hosts, self.rates * factor)
+        """Every rate times ``factor``; ValueError, without a numpy warning,
+        if a product is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return TrafficMatrix(self.hosts, self.rates * factor)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TrafficMatrix) and self.hosts == other.hosts

@@ -42,8 +42,9 @@ its steps.  ``metrics_rollup`` folds these arrays in step order;
 
 Latency is propagation-only (sum of latency weights along the path),
 recorded as a delivered-bits histogram.  The report carries the driver's
-solve records (``SimReport.solves``); their wall-clock times are kept out
-of the canonical serialization so identical seeded runs are byte-identical.
+solve records (``SimReport.solves``); their wall-clock times reach the
+CLI's outputs only with --timings, so identical seeded runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -189,25 +190,6 @@ class SimReport:
         """[tm][step] views of ``matrices``, built once on first read; the
         steps of a steady matrix are one aliased object."""
         return [block.views() for block in self.matrices]
-
-    def serialize(self) -> str:
-        """Canonical text form, excluding wall-clock timings."""
-        lines = [f"algorithm {self.algorithm}", f"topology {self.topology}",
-                 f"tms {self.num_tms} steps {self.steps_per_tm}"]
-        for t, steps in enumerate(self.steps):
-            fails = ",".join(f"{a}-{b}" for (a, b) in self.failures[t]) or "-"
-            lines.append(f"tm {t} failed {fails} churn {self.churn_timeline[t]} "
-                         f"paths {self.installed_paths[t]}")
-            for i, m in enumerate(steps):
-                util = ";".join(f"{u}-{v}:{m.per_edge_congestion[(u, v)]!r}"
-                                for (u, v) in sorted(m.per_edge_congestion))
-                lat = ";".join(f"{k!r}:{v!r}"
-                               for k, v in sorted(m.latency_samples.items()))
-                lines.append(f"  step {i} delivered {m.delivered!r} "
-                             f"closs {m.congestion_loss!r} "
-                             f"floss {m.failure_loss!r} "
-                             f"demand {m.demand_total!r} util {util} lat {lat}")
-        return "\n".join(lines) + "\n"
 
 
 def _water_fill(capacity: np.ndarray, lane: np.ndarray, req: np.ndarray

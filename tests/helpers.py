@@ -6,7 +6,8 @@ reference solves the full path-based LP with scipy's simplex-free HiGHS
 backend.  ``reference_propagate`` is the fluid step
 written with per-link dicts, the specification the array step reproduces;
 ``reference_rollup`` folds a report's per-step dicts with ``+=``, the
-specification of the columnar rollup.
+specification of the columnar rollup; ``assert_same_report`` compares two
+reports column by column, bit for bit.
 ``reference_k_shortest_paths`` is Yen's algorithm run pair by pair, each
 spur search stopping at the target, the specification the per-source Yen
 reproduces.  ``reference_raecke_paths`` and ``reference_vlb`` collapse
@@ -17,6 +18,7 @@ join shortcut halves instead.
 
 import heapq
 import itertools
+from dataclasses import fields
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,7 +26,7 @@ from scipy.optimize import linprog
 from tekit import graphops
 from tekit.model import UnreachablePair, lift, normalized, path_edges
 from tekit.raecke import _splice
-from tekit.sim import StepMetrics
+from tekit.sim import StepBlock, StepMetrics
 
 
 def enumerate_simple_paths(adj, source, target):
@@ -328,3 +330,22 @@ def reference_rollup(report):
                 latency[lat] = latency.get(lat, 0.0) + bits
         per_tm.append((d, cl, fl, dt, mc))
     return per_tm, latency
+
+
+def assert_same_report(a, b):
+    """``a`` and ``b`` record the same run: the same failures, churn and
+    installed path counts, and per matrix the same edge keys, repeat count
+    and bytes (with dtype and shape) in every ``StepBlock`` column."""
+    assert ((a.algorithm, a.topology, a.num_tms, a.steps_per_tm)
+            == (b.algorithm, b.topology, b.num_tms, b.steps_per_tm))
+    assert a.failures == b.failures
+    assert a.churn_timeline == b.churn_timeline
+    assert a.installed_paths == b.installed_paths
+    assert len(a.matrices) == len(b.matrices)
+    for x, y in zip(a.matrices, b.matrices):
+        assert (x.edge_keys, x.repeat) == (y.edge_keys, y.repeat)
+        for f in fields(StepBlock):
+            if f.name not in ("edge_keys", "repeat"):
+                u, v = getattr(x, f.name), getattr(y, f.name)
+                assert (u.dtype, u.shape, u.tobytes()) == (
+                    v.dtype, v.shape, v.tobytes()), f.name

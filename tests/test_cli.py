@@ -129,6 +129,8 @@ BAD_FLAGS = [
     ("run", "--scale", "-1"), ("run", "--scale", "0"),
     ("gen-demands", "--scale", "nan"), ("gen-demands", "--scale", "inf"),
     ("gen-demands", "--scale", "-1"),
+    # finite, but the scaled rates overflow
+    ("run", "--scale", "1e300"), ("gen-demands", "--scale", "1e300"),
     ("run", "--flash-beta", "nan"), ("run", "--flash-beta", "-1"),
     ("run", "--flash-beta", "inf"), ("run", "--flash-recovery-period", "0"),
     ("run", "--budget", "0"), ("run", "--accuracy", "0"),

@@ -7,8 +7,10 @@ import tekit
 from tekit import (EmptyWindowError, MissingPathsError, MwConfig,
                    PhaseLimitError, demand_envelope, evaluate_scheme, ksp,
                    mcf_mw, semi_mcf, semi_mcf_ft_env, spf, validate_scheme)
-from tekit.mcf import MW_STALL_ITERATIONS, WarmStart, _mw_core, _PathPool
-from tekit.model import Edge, Topology, TopologyError, TrafficMatrix
+from tekit import mcf
+from tekit.mcf import MW_STALL_ITERATIONS, WarmStart, _mw_core
+from tekit.model import (Edge, Topology, TopologyError, TrafficMatrix,
+                         path_edges)
 
 from conftest import build_topology, random_topology, tm_of
 from helpers import lp_min_max_congestion, random_commodities
@@ -446,16 +448,15 @@ def test_restart_keeps_the_solve_wide_first_chosen_order():
     and c four times: the restarted average is 1/7, 2/7 and 4/7 on
     capacities 1, 2 and 4, and its total is the fold c + a + b, which
     differs in the last bit from a + b + c."""
-    pool = _PathPool()
-    for e, name in enumerate("abc"):
-        pool.add(0, ("s", name, "t"), [e])
+    paths = [("s", name, "t") for name in "abc"]  # path k crosses edge k
     picks = iter([2] * (MW_STALL_ITERATIONS + 1) + [0, 1, 1, 2, 2, 2, 2])
 
     def oracle(lengths):
-        return np.array([next(picks)]), np.array([lengths.min()])
+        k = np.array([next(picks)])
+        return k, np.array([lengths.min()]), k, np.ones(1, dtype=np.intp)
 
     shares, iterations, _, converged = _mw_core(
-        np.array([1.0, 2.0, 4.0]), np.ones(1), 1.0, pool, oracle,
+        np.array([1.0, 2.0, 4.0]), np.ones(1), 1.0, paths, [0, 0, 0], oracle,
         MwConfig(max_phases=MW_STALL_ITERATIONS + 8))
     assert (iterations, converged) == (MW_STALL_ITERATIONS + 8, False)
     total = (4 / 7 + 1 / 7) + 2 / 7
@@ -463,6 +464,41 @@ def test_restart_keeps_the_solve_wide_first_chosen_order():
     assert list(shares[0].items()) == [(("s", "a", "t"), 1 / 7 / total),
                                        (("s", "b", "t"), 2 / 7 / total),
                                        (("s", "c", "t"), 4 / 7 / total)]
+
+
+@pytest.mark.parametrize("solver", ["mcf_mw", "semi_mcf"])
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_hands_the_core_the_hops_of_its_chosen_paths(
+        monkeypatch, solver, seed):
+    """At every iteration, each commodity's chosen path serves it, and the
+    oracle's hops are the sorted switch-edge indices of the chosen paths
+    joined in commodity order, with ``size`` each one's hop count."""
+    topo, tm = _random_case(seed, 3 + seed % 6, seed % 5)
+    edge_index = {e: i for i, e in enumerate(sorted(topo.switch_edges))}
+    core, calls = mcf._mw_core, []
+
+    def checking_core(cap, demand, d_ref, paths, owner, oracle, *rest):
+        def checked(lengths):
+            chosen, dist, hops, size = oracle(lengths)
+            assert [owner[k] for k in chosen] == list(range(len(demand)))
+            want = [[edge_index[h] for h in path_edges(paths[k])
+                     if h in edge_index] for k in chosen.tolist()]
+            assert size.tolist() == [len(w) for w in want]
+            assert hops.tolist() == [e for w in want for e in w]
+            calls.append(len(chosen))
+            return chosen, dist, hops, size
+        return core(cap, demand, d_ref, paths, owner, checked, *rest)
+
+    monkeypatch.setattr(mcf, "_mw_core", checking_core)
+    cfg = MwConfig(accuracy=0.1)
+    try:
+        if solver == "mcf_mw":
+            mcf_mw(topo, tm, cfg)
+        else:
+            semi_mcf(topo, tm, ksp(topo, 2), cfg)
+    except PhaseLimitError:
+        pass
+    assert calls
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -16,8 +16,9 @@ from tekit.model import both_directions
 from tekit.sim import InfeasibleFailureError, PathTable, report_to_csv
 
 from conftest import TIED_LENGTHS, build_topology, tm_of
-from helpers import (enumerate_simple_paths, reference_propagate,
-                     reference_rollup, reference_water_fill)
+from helpers import (assert_same_report, enumerate_simple_paths,
+                     reference_propagate, reference_rollup,
+                     reference_water_fill)
 
 
 # -- max-min fair allocation -----------------------------------------------
@@ -433,9 +434,8 @@ def test_simulation_deterministic(abilene):
     tms = [gravity_tm(state, 5e9)]
     cfg = SimConfig(steps_per_tm=3, phi=1, recovery="local", seed=11,
                     flash_beta=1.0, flash_recovery_period=2)
-    a = simulate(abilene, "semimcfraecke", tms, tms, cfg).serialize()
-    b = simulate(abilene, "semimcfraecke", tms, tms, cfg).serialize()
-    assert a.encode() == b.encode()
+    assert_same_report(simulate(abilene, "semimcfraecke", tms, tms, cfg),
+                       simulate(abilene, "semimcfraecke", tms, tms, cfg))
 
 
 def test_flash_burst_decays_inside_tm(line4):
@@ -497,7 +497,7 @@ def test_flash_blocks_cut_by_the_bound_match_one_row_blocks(abilene,
                                                              monkeypatch):
     """A re-balance period longer than the block bound runs as several
     blocks, and the report is the one of stepping every row as its own
-    block: the same serialization and the same rollup."""
+    block: the same report and the same rollup."""
     tm = gravity_tm(GravityState.initial(abilene.hosts, seed=6), 6e9)
     cfg = SimConfig(steps_per_tm=70, seed=2, budget=3, recovery="local",
                     flash_beta=3.0, flash_lag=5, flash_recovery_period=60)
@@ -519,7 +519,7 @@ def test_flash_blocks_cut_by_the_bound_match_one_row_blocks(abilene,
             rows.clear()
             single = simulate(abilene, algo, [tm], [tm], cfg)
             assert rows == [1] * cfg.steps_per_tm
-        assert blocked.serialize() == single.serialize()
+        assert_same_report(blocked, single)
         assert (report_to_csv(metrics_rollup(blocked))
                 == report_to_csv(metrics_rollup(single)))
 
