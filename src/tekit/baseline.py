@@ -12,6 +12,7 @@ sequence.
 from __future__ import annotations
 
 import functools
+from typing import Mapping
 
 from . import graphops
 from .model import Path, Scheme, Topology, lift, normalized
@@ -20,11 +21,20 @@ from .model import Path, Scheme, Topology, lift, normalized
 KSP_PATHS = 4
 
 
-def _shortest(topo: Topology) -> dict[str, dict[str, Path]]:
-    """Shortest path from every switch to every switch, latency weights."""
+def _shortest(topo: Topology) -> tuple[Mapping[str, int], list, list]:
+    """Every switch's shortest-path tree under latency weights.
+
+    Returns the switch ids (they number ``topo.switches``) and, for each
+    switch id, the tree's paths by target id twice: as id tuples, in the
+    order Dijkstra settled them (a node after its parent), and as names.
+    """
     graph = graphops.weighted(graphops.switch_graph(topo),
                               graphops.weight_lengths(topo))
-    return {s: graphops.dijkstra(graph, s)[1] for s in topo.switches}
+    names = graph.names
+    trees = [graphops.dijkstra(graph, s)[1] for s in range(len(names))]
+    return graph.ids, trees, [
+        {t: tuple(names[u] for u in p) for t, p in tree.items()}
+        for tree in trees]
 
 
 def _uniform(paths: list[Path]) -> dict[Path, float]:
@@ -34,8 +44,8 @@ def _uniform(paths: list[Path]) -> dict[Path, float]:
 
 def spf(topo: Topology) -> Scheme:
     """One shortest path per pair, probability 1: every budget keeps it."""
-    best = _shortest(topo)
-    return lift(topo, lambda s, d: {best[s][d]: 1.0})
+    ids, _, paths = _shortest(topo)
+    return lift(topo, lambda s, d: {paths[ids[s]][ids[d]]: 1.0})
 
 
 def ecmp(topo: Topology, budget: int | None = None) -> Scheme:
@@ -44,7 +54,9 @@ def ecmp(topo: Topology, budget: int | None = None) -> Scheme:
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
-    dist_to = {d: graphops.dijkstra(rgraph, d)[0] for d in topo.switches}
+    names = rgraph.names
+    dist_to = {d: {names[u]: c for u, c in graphops.dijkstra(rgraph, t)[0]
+                   .items()} for t, d in enumerate(names)}
     return lift(topo, lambda s, d: _uniform(graphops.min_cost_paths(
         adj, lengths, s, d, dist_to[d])), budget)
 
@@ -78,26 +90,49 @@ def vlb(topo: Topology, budget: int | None = None) -> Scheme:
     contributes the concatenation of the shortest S->i and i->T paths,
     loop-shortcut to a simple path.  Both halves are simple, so the
     shortcut is the join ``P[:a] + Q[b:]`` at the first node of P that Q
-    visits; each shortest path's position map is built once.
+    visits.  Q is T's branch of i's shortest-path tree, so a is a running
+    minimum of P's positions down that tree, and b is the meeting node's
+    depth in it; one pass over i's tree joins P to every target.
     Concatenations that collapse to the same simple path merge by summing
     their probability shares.  Pairs with no available intermediate (same
     switch, or a two-switch network) fall back to the direct shortest path.
     """
-    best = _shortest(topo)
-    at = {i: {d: graphops.positions(q) for d, q in row.items()}
-          for i, row in best.items()}
+    ids, trees, paths = _shortest(topo)
+    n = len(ids)
+    # each tree's (node, parent, depth) below its root, parents first
+    below = [[(t, p[-2], len(p) - 1) for t, p in tree.items() if t != i]
+             for i, tree in enumerate(trees)]
+
+    @functools.lru_cache(maxsize=1)
+    def joins_from(s: int) -> list[list[tuple[int, int]]]:
+        """(a, b) for every intermediate i and target d, by ids."""
+        out: list = []
+        for i in range(n):
+            if i == s:
+                out.append(None)
+                continue
+            at = {u: k for k, u in enumerate(trees[s][i])}
+            join: list = [None] * n
+            join[i] = (len(at) - 1, 0)
+            for t, p, depth in below[i]:
+                k = at.get(t)
+                join[t] = (join[p] if k is None or k > join[p][0]
+                           else (k, depth))
+            out.append(join)
+        return out
 
     def route(s: str, d: str) -> dict[Path, float]:
-        intermediates = [i for i in topo.switches if i not in (s, d)]
-        if not intermediates:
-            return {best[s][d]: 1.0}
-        share = 1.0 / len(intermediates)
+        s, d = ids[s], ids[d]
+        if n < 3:
+            return {paths[s][d]: 1.0}
+        share = 1.0 / (n - 2)
+        heads, joins = paths[s], joins_from(s)
         dist: dict[Path, float] = {}
-        for i in intermediates:
-            head = best[s][i]
-            a, b = graphops.meet(head, at[i][d])
-            path = head[:a] + best[i][d][b:]
-            dist[path] = dist.get(path, 0.0) + share
+        for i in range(n):
+            if i != s and i != d:
+                a, b = joins[i][d]
+                path = heads[i][:a] + paths[i][d][b:]
+                dist[path] = dist.get(path, 0.0) + share
         return normalized(dist)
 
     return lift(topo, route, budget)

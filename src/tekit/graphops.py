@@ -7,27 +7,37 @@ always broken by (cost, hop count, node sequence) so identical inputs yield
 identical paths on any platform.
 
 No search copies the graph, and ``dijkstra`` is the one search: the
-congestion solver's oracle calls it plain, Yen's ``k_shortest_paths``
-with banned nodes and edges.  It walks a *weighted adjacency*
-(``weighted``): each node's (neighbour, length) pairs, built once per
-length function, so the search looks up no length by its edge key.  Yen
-runs once per source: a spur search depends on the spur node, the banned
-root nodes and the banned next hops but not on the target, so all of the
-source's targets share each restricted search.  ``min_cost_paths`` takes
-the target's distance map, so a caller routing every pair runs one
-Dijkstra per node, not one per pair.
+builders and the congestion solver's oracle call it plain, Yen's
+``k_shortest_paths`` with banned nodes and edges.  It runs on integer
+node ids numbered in sorted-name order, so comparing id sequences orders
+paths exactly as comparing name sequences does.  It walks a *weighted
+adjacency* (``weighted``): each node's (neighbour id, length) pairs, built
+once per length function, so the search looks up no length by its edge
+key and hashes no name.  Yen runs once per source: a spur search depends
+on the spur node, the banned root nodes and the banned next hops but not
+on the target, so all of the source's targets share each restricted
+search.  ``min_cost_paths`` takes the target's distance map, so a caller
+routing every pair runs one Dijkstra per node, not one per pair.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import Path, Topology, UnreachablePair
 
 Lengths = Mapping[tuple[str, str], float]
-#: node -> its (neighbour, edge length) pairs
-Weighted = Mapping[str, Iterable[tuple[str, float]]]
+
+
+class Weighted(NamedTuple):
+    """The adjacency ``dijkstra`` walks.  A node's id is its index in
+    ``names``, which is sorted; ``arcs[u]`` holds node u's (neighbour id,
+    edge length) pairs in adjacency order."""
+
+    names: tuple[str, ...]
+    ids: Mapping[str, int]
+    arcs: tuple[tuple[tuple[int, float], ...], ...]
 
 
 def switch_graph(topo: Topology) -> dict[str, tuple[str, ...]]:
@@ -48,60 +58,77 @@ def inverse_capacity_lengths(topo: Topology) -> dict[tuple[str, str], float]:
     return {k: 1.0 / topo.edges[k].capacity for k in topo.switch_edges}
 
 
-def weighted(adj: Mapping[str, Iterable[str]], lengths: Lengths
-             ) -> dict[str, tuple[tuple[str, float], ...]]:
-    """The weighted adjacency ``dijkstra`` walks: each node's neighbours in
-    adjacency order, each with the length of the edge to it."""
-    return {u: tuple((v, lengths[(u, v)]) for v in vs)
-            for u, vs in adj.items()}
+def weighted(adj: Mapping[str, Iterable[str]], lengths: Lengths) -> Weighted:
+    """The weighted adjacency of ``adj`` under ``lengths``: each node's
+    neighbours in adjacency order, each with the length of the edge to
+    it."""
+    names = tuple(sorted(adj))
+    ids = {u: i for i, u in enumerate(names)}
+    return Weighted(names, ids, tuple(
+        tuple((ids[v], lengths[(u, v)]) for v in adj[u]) for u in names))
 
 
-def dijkstra(graph: Weighted, source: str,
-             banned_nodes: Iterable[str] = (),
-             banned_edges: Iterable[tuple[str, str]] = ()
-             ) -> tuple[dict[str, float], dict[str, Path]]:
-    """Single-source shortest paths with deterministic tie-breaking,
-    never entering a banned node or following a banned directed edge (the
-    source itself must not be banned).
+def dijkstra(graph: Weighted, source: int, banned_nodes: Iterable[int] = (),
+             banned_edges: Iterable[tuple[int, int]] = ()
+             ) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
+    """Single-source shortest paths from node id ``source`` with
+    deterministic tie-breaking, never entering a banned node or following
+    a banned directed edge.  A banned source raises ``ValueError``.
 
-    Returns (distance, best_path) maps; unreachable nodes are missing.  A
-    heap entry is (cost, hops, parent's path, node): equal-hop entries have
-    equal-length parent paths, so they compare exactly as their full paths
-    would, and equal-cost alternatives resolve by hop count and then
-    lexicographic node sequence.  A node's path is built once, at its
+    Returns (distance, best_path) maps by node id, paths as id tuples;
+    unreachable nodes are missing.  A heap entry is (cost, hops, parent's
+    path, node): equal-hop entries have equal-length parent paths, so they
+    compare exactly as their full paths would, and equal-cost alternatives
+    resolve by hop count and then lexicographic id sequence, which is the
+    name sequence's order.  An entry is pushed only when it beats the
+    node's current tentative one, and a node's path is built once, at its
     first pop, the minimum (cost, hops, sequence) entry, so a search
     stopped there would return the same path.
     """
-    dist: dict[str, float] = {}
-    best: dict[str, Path] = {}
-    banned = frozenset(banned_nodes)
-    # each node's neighbours not to enter: the banned nodes, plus the heads
-    # of its banned edges
-    skips: dict[str, set[str]] = {}
+    arcs = graph.arcs
+    done = [False] * len(arcs)  # settled or banned
+    for u in banned_nodes:
+        done[u] = True
+    if done[source]:
+        raise ValueError(f"source {graph.names[source]} is banned")
+    cut: dict[int, set[int]] = {}  # node -> heads of its banned edges
     for u, v in banned_edges:
-        skips.setdefault(u, set(banned)).add(v)
-    heap: list[tuple[float, int, Path, str]] = [(0.0, 1, (), source)]
+        cut.setdefault(u, set()).add(v)
+    tentative: list = [None] * len(arcs)
+    dist: dict[int, float] = {}
+    best: dict[int, tuple[int, ...]] = {}
+    heap: list[tuple[float, int, tuple[int, ...], int]] = [
+        (0.0, 1, (), source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, nhops, parent, node = heapq.heappop(heap)
-        if node in dist:
+        d, nhops, parent, u = pop(heap)
+        if done[u]:
             continue
-        dist[node] = d
-        best[node] = path = parent + (node,)
-        skip = skips.get(node, banned)
-        for nbr, w in graph[node]:
-            if nbr not in dist and nbr not in skip:
-                heapq.heappush(heap, (d + w, nhops + 1, path, nbr))
+        done[u] = True
+        dist[u] = d
+        best[u] = path = parent + (u,)
+        nhops += 1
+        out = arcs[u]
+        if u in cut:
+            out = [a for a in out if a[0] not in cut[u]]
+        for v, w in out:
+            if not done[v]:
+                entry = (d + w, nhops, path, v)
+                t = tentative[v]
+                if t is None or entry < t:
+                    tentative[v] = entry
+                    push(heap, entry)
     return dist, best
 
 
-def reversed_graph(graph: Weighted) -> dict[str, list[tuple[str, float]]]:
+def reversed_graph(graph: Weighted) -> Weighted:
     """The weighted adjacency with every edge turned around: a Dijkstra
     from t over it gives every node's distance to t."""
-    rgraph: dict[str, list[tuple[str, float]]] = {n: [] for n in graph}
-    for u, arcs in graph.items():
-        for v, w in arcs:
-            rgraph[v].append((u, w))
-    return rgraph
+    arcs: list[list[tuple[int, float]]] = [[] for _ in graph.arcs]
+    for u, out in enumerate(graph.arcs):
+        for v, w in out:
+            arcs[v].append((u, w))
+    return Weighted(graph.names, graph.ids, tuple(map(tuple, arcs)))
 
 
 def min_cost_paths(adj, lengths: Lengths, source: str, target: str,
@@ -151,15 +178,19 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
     unreachable target raises ``UnreachablePair``.  The targets run in
     order and share one memo from (spur, banned root nodes, banned next
     hops) to that restricted search's paths; it lives for this call.
+    Paths stay id tuples until they are found; a candidate's cost is the
+    left fold of its edge lengths, continued from its root's.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     graph = weighted(adj, lengths)
-    searches: dict[tuple[str, frozenset[str], frozenset[str]],
-                   dict[str, Path]] = {}
+    names = graph.names
+    length = {(u, v): w for u, out in enumerate(graph.arcs) for v, w in out}
+    searches: dict[tuple[int, frozenset[int], frozenset[int]],
+                   dict[int, tuple[int, ...]]] = {}
 
-    def search(spur: str, banned_nodes: frozenset[str],
-               banned_next: frozenset[str]) -> dict[str, Path]:
+    def search(spur: int, banned_nodes: frozenset[int],
+               banned_next: frozenset[int]) -> dict[int, tuple[int, ...]]:
         key = (spur, banned_nodes, banned_next)
         paths = searches.get(key)
         if paths is None:
@@ -167,36 +198,45 @@ def k_shortest_paths(adj, lengths: Lengths, source: str,
                 graph, spur, banned_nodes, [(spur, v) for v in banned_next])[1]
         return paths
 
-    first = search(source, frozenset(), frozenset())
+    def fold(cost: float, path: tuple[int, ...]) -> float:
+        for u, v in zip(path, path[1:]):
+            cost += length[(u, v)]
+        return cost
+
+    first = search(graph.ids[source], frozenset(), frozenset())
     out: dict[str, list[Path]] = {}
     for target in targets:
-        if target not in first:
+        t = graph.ids[target]
+        if t not in first:
             raise UnreachablePair(f"no route {source} -> {target}")
-        path = first[target]
-        found: list[tuple[float, int, Path]] = [
-            (path_cost(lengths, path), len(path), path)]
-        candidates: list[tuple[float, int, Path]] = []
+        path = first[t]
+        found: list[tuple[float, int, tuple[int, ...]]] = [
+            (fold(0, path), len(path), path)]
+        candidates: list[tuple[float, int, tuple[int, ...]]] = []
         seen_candidates = {path}
 
         while len(found) < k:
             _, _, prev = found[-1]
+            cost = 0  # the root's cost
             for i in range(len(prev) - 1):
+                if i:
+                    cost += length[(prev[i - 1], prev[i])]
                 root = prev[:i + 1]
                 banned_next = frozenset(p[i + 1] for (_, _, p) in found
                                         if p[:i + 1] == root)
                 spur_path = search(prev[i], frozenset(root[:-1]),
-                                   banned_next).get(target)
+                                   banned_next).get(t)
                 if spur_path is None:
                     continue
                 candidate = root[:-1] + spur_path
                 if candidate not in seen_candidates:
                     seen_candidates.add(candidate)
-                    heapq.heappush(candidates, (path_cost(lengths, candidate),
+                    heapq.heappush(candidates, (fold(cost, spur_path),
                                                 len(candidate), candidate))
             if not candidates:
                 break
             found.append(heapq.heappop(candidates))
-        out[target] = [p for (_, _, p) in found]
+        out[target] = [tuple(names[u] for u in p) for (_, _, p) in found]
     return out
 
 

@@ -321,34 +321,38 @@ def mcf_mw(topo: Topology, tm: TrafficMatrix, cfg: MwConfig = MwConfig(),
     commodity = {key: j for j, key in enumerate(keys)}
     demand = np.array([demands[key] / d_ref for key in keys])
     edge_index, cap = _switch_edges(topo)
-    # each switch's out-edges as (neighbour, edge index): every iteration
-    # reads the lengths into the weighted adjacency through them
-    out_edges = {u: [(v, edge_index[(u, v)]) for v in topo.switch_adj(u)]
-                 for u in topo.switches}
-    # sources and their targets in sorted order visit the commodities in
+    names = topo.switches  # a switch's id is its index here
+    ids = {u: i for i, u in enumerate(names)}
+    # each switch's out-edges as (neighbour id, edge index): every
+    # iteration reads the lengths into the weighted adjacency through them
+    out_edges = [[(ids[v], edge_index[(u, v)]) for v in topo.switch_adj(u)]
+                 for u in names]
+    # sources and their targets in id order visit the commodities in
     # commodity order
-    sources = sorted({s for (s, _) in keys})
-    targets = {s: [d for (s2, d) in keys if s2 == s] for s in sources}
-    # every path found so far, the commodity it serves and its edge indices
+    sources = sorted({ids[s] for (s, _) in keys})
+    targets = {s: [ids[d] for (s2, d) in keys if ids[s2] == s]
+               for s in sources}
+    # every path found so far (by its ids in ``known``), the commodity it
+    # serves and its edge indices
     paths: list[Path] = []
     owner: list[int] = []
     path_hops: list[list[int]] = []
-    known: dict[Path, int] = {}
+    known: dict[tuple[int, ...], int] = {}
 
     def oracle(lengths):
         lens = lengths.tolist()
-        graph = {u: [(v, lens[e]) for v, e in arcs]
-                 for u, arcs in out_edges.items()}
+        graph = graphops.Weighted(names, ids, tuple(
+            [(v, lens[e]) for v, e in out] for out in out_edges))
         chosen, dists, hops, size = [], [], [], []
         for s in sources:
             dist, best = graphops.dijkstra(graph, s)
             for d in targets[s]:
-                path = best[d]
-                k = known.get(path)
+                k = known.get(best[d])
                 if k is None:
-                    k = known[path] = len(paths)
+                    k = known[best[d]] = len(paths)
+                    path = tuple(names[u] for u in best[d])
                     paths.append(path)
-                    owner.append(commodity[(s, d)])
+                    owner.append(commodity[(names[s], names[d])])
                     path_hops.append([edge_index[h] for h in path_edges(path)])
                 chosen.append(k)
                 dists.append(dist[d])

@@ -135,9 +135,10 @@ class TreeDistribution:
         return "\n".join(blocks + tail) + "\n"
 
 
-def _distances(graph: graphops.Weighted, switches: list[str]) -> np.ndarray:
-    """Every switch-to-switch distance: ``D[s, v]`` from ``switches[s]`` to
-    ``switches[v]``, inf where v is unreachable.
+def _distances(graph: graphops.Weighted, switches: list[int]) -> np.ndarray:
+    """Every switch-to-switch distance: ``D[s, v]`` from switch id
+    ``switches[s]`` to switch id ``switches[v]``, inf where v is
+    unreachable.
 
     Synchronous relaxation, D[s, v] <- min(D[s, v], min_u D[s, u] +
     length(u, v)), repeated until nothing changes.  fl(x + w) never
@@ -149,7 +150,8 @@ def _distances(graph: graphops.Weighted, switches: list[str]) -> np.ndarray:
     at = {s: i for i, s in enumerate(switches)}
     dist = np.full((len(switches), len(switches)), np.inf)
     np.fill_diagonal(dist, 0.0)
-    arcs = sorted((at[v], at[u], w) for u in switches for v, w in graph[u])
+    arcs = sorted((at[v], at[u], w) for u in switches
+                  for v, w in graph.arcs[u])
     if not arcs:
         return dist
     head, tail, length = (np.array(column) for column in zip(*arcs))
@@ -183,7 +185,8 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
     scale = float(2.0 ** rng.random())
 
     graph = graphops.weighted(graphops.switch_graph(topo), lengths)
-    dist = _distances(graph, order)  # both axes in priority order
+    ids = graph.ids
+    dist = _distances(graph, [ids[s] for s in order])  # priority order
 
     def rep(members) -> str:
         return min(members, key=priority.__getitem__)
@@ -220,9 +223,10 @@ def frt_tree(topo: Topology, lengths: Mapping[tuple[str, str], float],
         level -= 1
 
     reps = tuple(rep(c) for c in clusters)
-    best = {r: graphops.dijkstra(graph, r)[1]
+    best = {r: graphops.dijkstra(graph, ids[r])[1]
             for r in {reps[p] for p in parents[1:]}}
-    paths = [(reps[i],) if p is None else best[reps[p]][reps[i]]
+    paths = [(reps[i],) if p is None else
+             tuple(graph.names[u] for u in best[reps[p]][ids[reps[i]]])
              for i, p in enumerate(parents)]
     leaf_index = {next(iter(c)): i for i, c in enumerate(clusters) if len(c) == 1}
     return RoutingTree(tuple(clusters), tuple(parents), reps, tuple(paths),

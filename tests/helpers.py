@@ -13,7 +13,8 @@ spur search stopping at the target, the specification the per-source Yen
 reproduces.  ``reference_raecke_paths`` and ``reference_vlb`` collapse
 every walk on its own, splicing it whole and running
 ``graphops.shortcut`` over it: the specification of the builders that
-join shortcut halves instead.
+join shortcut halves instead.  ``named_dijkstra`` runs the library's
+search with switch names in and out, for tests written in names.
 """
 
 import heapq
@@ -43,6 +44,18 @@ def enumerate_simple_paths(adj, source, target):
 
     walk([source], {source})
     return out
+
+
+def named_dijkstra(graph, source, banned_nodes=(), banned_edges=()):
+    """``graphops.dijkstra`` from the node named ``source``, bans by name;
+    the (distance, best_path) maps come back keyed by name, paths as
+    names."""
+    ids, names = graph.ids, graph.names
+    dist, best = graphops.dijkstra(
+        graph, ids[source], [ids[u] for u in banned_nodes],
+        [(ids[u], ids[v]) for u, v in banned_edges])
+    return ({names[u]: d for u, d in dist.items()},
+            {names[u]: tuple(names[v] for v in p) for u, p in best.items()})
 
 
 def path_cost(lengths, path):
@@ -151,7 +164,7 @@ def reference_vlb(topo):
     adj = graphops.switch_graph(topo)
     lengths = graphops.weight_lengths(topo)
     graph = graphops.weighted(adj, lengths)
-    best = {s: graphops.dijkstra(graph, s)[1] for s in topo.switches}
+    best = {s: named_dijkstra(graph, s)[1] for s in topo.switches}
 
     def route(s, d):
         intermediates = [i for i in topo.switches if i not in (s, d)]

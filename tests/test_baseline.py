@@ -117,7 +117,7 @@ def test_ecmp_searches_once_per_switch(monkeypatch):
     sources = []
     search = graphops.dijkstra
     monkeypatch.setattr(graphops, "dijkstra",
-                        lambda graph, s: sources.append(s)
+                        lambda graph, s: sources.append(graph.names[s])
                         or search(graph, s))
     ecmp(topo)
     assert len(topo.switches) == 12
@@ -130,11 +130,24 @@ def test_ksp_shares_spur_searches_across_targets(monkeypatch, abilene):
     searches = []
     search = graphops.dijkstra
     monkeypatch.setattr(graphops, "dijkstra",
-                        lambda *args: searches.append(args[1])
+                        lambda *args: searches.append(args[0].names[args[1]])
                         or search(*args))
     ksp(abilene)
     assert len(searches) == 473
     assert set(searches) == set(abilene.switches)
+
+
+@pytest.mark.parametrize("seed, count", [(0, 3009), (1, 2973)])
+def test_ksp_spur_search_counts(monkeypatch, seed, count):
+    """The restricted searches Yen runs on 30 switches: a memo key that
+    stops sharing searches across targets raises the count."""
+    searches = []
+    search = graphops.dijkstra
+    monkeypatch.setattr(graphops, "dijkstra",
+                        lambda *args: searches.append(args[1])
+                        or search(*args))
+    ksp(random_topology(seed, n_switches=30, extra_links=15))
+    assert len(searches) == count
 
 
 def test_ksp_diamond_two_paths(diamond):

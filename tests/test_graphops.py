@@ -9,7 +9,7 @@ from tekit import UnreachablePair, graphops
 
 from conftest import TIED_LENGTHS, random_topology
 from helpers import (brute_k_shortest, brute_min_cost_set, brute_shortest,
-                     enumerate_simple_paths, path_cost,
+                     enumerate_simple_paths, named_dijkstra, path_cost,
                      reference_k_shortest_paths, reference_shortest_path)
 
 
@@ -26,7 +26,7 @@ def test_dijkstra_matches_enumeration(seed):
     adj, lengths = _adj_and_lengths(topo)
     switches = topo.switches
     for s in switches:
-        _, best = graphops.dijkstra(graphops.weighted(adj, lengths), s)
+        _, best = named_dijkstra(graphops.weighted(adj, lengths), s)
         for t in switches:
             if s != t:
                 assert best[t] == brute_shortest(adj, lengths, s, t)
@@ -42,7 +42,7 @@ def test_min_cost_paths_matches_enumeration(seed):
         s, t = rng.choice(len(switches), size=2, replace=False)
         s, t = switches[s], switches[t]
         rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
-        dist_to = graphops.dijkstra(rgraph, t)[0]
+        dist_to = named_dijkstra(rgraph, t)[0]
         assert (graphops.min_cost_paths(adj, lengths, s, t, dist_to)
                 == brute_min_cost_set(adj, lengths, s, t))
 
@@ -60,11 +60,20 @@ def test_yen_matches_brute_force_top_k(seed):
         assert got == {t: brute_k_shortest(adj, lengths, s, t, 4)}
 
 
+#: node names listed out of their sorted order, "B" < "a" < "v10" < "v2"
+#: < "v9" < "z1"
+_UNSORTED_NAMES = ("v10", "v9", "a", "B", "z1", "v2")
+
+
 @st.composite
-def _directed_graphs(draw, lengths=TIED_LENGTHS):
+def _directed_graphs(draw, lengths=TIED_LENGTHS, names=None):
     """Small directed graphs: arcs in drawn order (so the adjacency order
-    varies), each with its own length, reverse arcs drawn independently."""
-    nodes = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    varies), each with its own length, reverse arcs drawn independently.
+    Nodes are v0, v1, ... or, with ``names``, a shuffled draw from them, so
+    that name order differs from creation and adjacency order."""
+    n = draw(st.integers(2, 6))
+    nodes = ([f"v{i}" for i in range(n)] if names is None
+             else draw(st.permutations(names))[:n])
     arcs = draw(st.lists(st.tuples(st.sampled_from(nodes),
                                    st.sampled_from(nodes))
                          .filter(lambda a: a[0] != a[1]), unique=True))
@@ -91,9 +100,14 @@ def test_yen_matches_brute_force_property(graph, k):
 ROUNDING_LENGTHS = st.sampled_from([0.1, 0.2, 0.30000000000000004, 0.5, 1.0])
 
 
+def _any_named_graphs():
+    lengths = st.one_of(TIED_LENGTHS, ROUNDING_LENGTHS)
+    return st.one_of(_directed_graphs(lengths),
+                     _directed_graphs(lengths, _UNSORTED_NAMES))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(graph=_directed_graphs(st.one_of(TIED_LENGTHS, ROUNDING_LENGTHS)),
-       k=st.integers(1, 6))
+@given(graph=_any_named_graphs(), k=st.integers(1, 6))
 def test_yen_per_source_matches_per_pair_reference(graph, k):
     """One call per source, all reachable targets at once, equals Yen run
     pair by pair with stop-at-target searches, path for path."""
@@ -113,8 +127,7 @@ def test_yen_per_source_matches_per_pair_reference(graph, k):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(graph=_directed_graphs(st.one_of(TIED_LENGTHS, ROUNDING_LENGTHS)),
-       data=st.data())
+@given(graph=_any_named_graphs(), data=st.data())
 def test_dijkstra_with_bans_matches_reference(graph, data):
     """The one search, with random banned nodes and directed edges (never
     the source), settles each target on the path a stop-at-target search
@@ -125,8 +138,8 @@ def test_dijkstra_with_bans_matches_reference(graph, data):
     banned_nodes = data.draw(st.sets(st.sampled_from(nodes))) - {source}
     banned_edges = (data.draw(st.sets(st.sampled_from(list(lengths))))
                     if lengths else set())
-    dist, best = graphops.dijkstra(graphops.weighted(adj, lengths), source,
-                                   banned_nodes, banned_edges)
+    dist, best = named_dijkstra(graphops.weighted(adj, lengths), source,
+                                banned_nodes, banned_edges)
     for t in nodes:
         try:
             expected = reference_shortest_path(adj, lengths, source, t,
@@ -145,7 +158,7 @@ def test_min_cost_paths_matches_enumeration_property(graph):
     adj, lengths = graph
     rgraph = graphops.reversed_graph(graphops.weighted(adj, lengths))
     for t in adj:
-        dist_to = graphops.dijkstra(rgraph, t)[0]
+        dist_to = named_dijkstra(rgraph, t)[0]
         for s in adj:
             if s == t:
                 continue
@@ -162,8 +175,8 @@ def test_unreachable_pair_raises():
     lengths = {("a", "b"): 1.0, ("c", "b"): 1.0}
     graph = graphops.weighted(adj, lengths)
     rgraph = graphops.reversed_graph(graph)
-    assert "a" not in graphops.dijkstra(graph, "b")[1]
-    assert "b" not in graphops.dijkstra(
+    assert "a" not in named_dijkstra(graph, "b")[1]
+    assert "b" not in named_dijkstra(
         graph, "a", banned_edges={("a", "b")})[1]
     with pytest.raises(UnreachablePair):
         graphops.k_shortest_paths(adj, lengths, "a", ["c"], 3)
@@ -171,7 +184,26 @@ def test_unreachable_pair_raises():
         graphops.k_shortest_paths(adj, lengths, "c", ["b", "a"], 3)
     with pytest.raises(UnreachablePair):
         graphops.min_cost_paths(adj, lengths, "a", "c",
-                                graphops.dijkstra(rgraph, "c")[0])
+                                named_dijkstra(rgraph, "c")[0])
+
+
+def test_ties_break_by_name_not_creation_order():
+    """Of two equal paths, the one through "B" sorts first, although "a"
+    is created first and comes first in the adjacency."""
+    adj = {"z1": ("a", "B"), "a": ("v9",), "B": ("v9",), "v9": ()}
+    lengths = dict.fromkeys(
+        [("z1", "a"), ("z1", "B"), ("a", "v9"), ("B", "v9")], 1.0)
+    graph = graphops.weighted(adj, lengths)
+    assert named_dijkstra(graph, "z1")[1]["v9"] == ("z1", "B", "v9")
+    assert graphops.k_shortest_paths(adj, lengths, "z1", ["v9"], 2) == {
+        "v9": [("z1", "B", "v9"), ("z1", "a", "v9")]}
+
+
+def test_dijkstra_rejects_a_banned_source():
+    graph = graphops.weighted({"a": ("b",), "b": ("a",)},
+                              {("a", "b"): 1.0, ("b", "a"): 1.0})
+    with pytest.raises(ValueError, match="source b is banned"):
+        graphops.dijkstra(graph, graph.ids["b"], [graph.ids["b"]])
 
 
 def test_yen_handles_fewer_paths_than_k(line4):

@@ -295,7 +295,7 @@ def _weighted_graphs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(graph=_weighted_graphs())
 def test_array_distances_equal_dijkstra_bit_for_bit(graph):
-    nodes = list(graph)
+    nodes = list(range(len(graph.names)))
     dist = raecke._distances(graph, nodes)
     for i, s in enumerate(nodes):
         expected = graphops.dijkstra(graph, s)[0]
@@ -308,7 +308,8 @@ def test_frt_tree_searches_from_parent_representatives_only(abilene,
     sources = []
     search = graphops.dijkstra
     monkeypatch.setattr(graphops, "dijkstra",
-                        lambda graph, s: sources.append(s) or search(graph, s))
+                        lambda graph, s: sources.append(graph.names[s])
+                        or search(graph, s))
     tree = frt_tree(abilene, graphops.inverse_capacity_lengths(abilene), 4)
     assert sorted(sources) == sorted(
         {tree.reps[p] for p in tree.parent if p is not None})
