@@ -21,7 +21,9 @@ iterations, solver phase-limit notes) to stderr.  Flags that set a config
 field take their default and bounds from that config.  Exit codes: 0
 success, 2 bad input (also a --fail-num the topology cannot lose, a
 repeated algorithm or an output path that cannot be written), 3 an
-internal solver limit was hit and --strict was given.
+internal solver limit was hit and --strict was given.  Every bad-input
+check runs before anything is written; the output directory is made next,
+before the simulations, so an unwritable path fails fast.
 
 Environment overrides: TEKIT_OUT_DIR (base output directory),
 TEKIT_PARALLEL (worker processes across algorithm runs; an integer >= 1,
@@ -209,13 +211,6 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(mw=MwConfig(**fields[MwConfig]), **fields[SimConfig])
 
 
-def _run_one(topo, name, actual, predicted, cfg):
-    try:
-        return name, sim.simulate(topo, name, actual, predicted, cfg)
-    except demand.NoEligibleSinkError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def cmd_run(args) -> int:
     names = []
     for token in filter(str.strip, args.algos.split(",")):
@@ -250,43 +245,43 @@ def cmd_run(args) -> int:
         except ValueError as exc:  # the factor overflows the rates
             raise InputError(f"--scale {args.scale}: scaled {exc}") from exc
 
+    # one failure schedule, computed here, serves every algorithm
+    try:
+        failures = sim.failure_schedule(topo, cfg.phi, len(actual), cfg.seed,
+                                        actual[0])
+    except sim.InfeasibleFailureError as exc:
+        raise InputError(str(exc)) from exc
+    cfg = replace(cfg, explicit_failures=tuple(failures))
+    if cfg.flash_beta > 0:
+        try:
+            for t, tm in enumerate(actual):
+                demand.flash_sink(tm, cfg.seed, t)
+        except demand.NoEligibleSinkError as exc:
+            raise InputError(str(exc)) from exc
+
     base_out = args.out or os.environ.get("TEKIT_OUT_DIR", "runs")
     run_tag = (f"{topo.name}_S{args.scale if args.scale is not None else 'raw'}"
                f"_phi{args.phi}_b{args.budget or 0}_seed{args.seed}")
     out_dir = FsPath(base_out) / run_tag
-    # made before the simulations, so that an unwritable path fails fast;
-    # removed again if the simulations reject the input
-    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    # made before the simulations, so that an unwritable path fails fast
     with _output_to(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        # one failure schedule, computed here, serves every algorithm
-        try:
-            failures = sim.failure_schedule(topo, cfg.phi, len(actual),
-                                            cfg.seed, actual[0])
-        except sim.InfeasibleFailureError as exc:
-            raise InputError(str(exc)) from exc
-        cfg = replace(cfg, explicit_failures=tuple(failures))
-        if workers > 1:
-            # imported here: a serial run never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_log_to_stderr,
-                                     initargs=(args.verbose,)) as pool:
-                futures = [pool.submit(_run_one, topo, n, actual, predicted,
-                                       cfg) for n in names]
-                results = [f.result() for f in futures]
-        else:
-            results = [_run_one(topo, n, actual, predicted, cfg)
-                       for n in names]
-    except InputError:
-        for path in made:
-            path.rmdir()
-        raise
+    if workers > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_log_to_stderr,
+                                 initargs=(args.verbose,)) as pool:
+            futures = [pool.submit(sim.simulate, topo, n, actual, predicted,
+                                   cfg) for n in names]
+            reports = [f.result() for f in futures]
+    else:
+        reports = [sim.simulate(topo, n, actual, predicted, cfg)
+                   for n in names]
 
     lines = [",".join(("algorithm",) + sim.RUN_METRICS)]
-    for name, report in results:
+    for name, report in zip(names, reports):
         summary = sim.metrics_rollup(report)
         events = limit_events(report.solves)
         metrics = {key: getattr(summary, key) for key in sim.RUN_METRICS}

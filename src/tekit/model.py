@@ -420,11 +420,3 @@ def lift(topo: Topology, route: Callable[[str, str], Mapping[Path, float]],
             scheme[(src, dst)] = {attach_stubs(src, dst, p): w
                                   for p, w in routes[key].items()}
     return scheme
-
-
-def format_scheme(scheme: Scheme) -> str:
-    """Canonical text form of a scheme, one line per path; byte-identical
-    for equal schemes."""
-    return "".join(f"{pair[0]} {pair[1]} {prob!r} {'-'.join(path)}\n"
-                   for pair in sorted(scheme)
-                   for path, prob in sorted(scheme[pair].items()))

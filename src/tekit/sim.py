@@ -609,29 +609,21 @@ def metrics_rollup(report: SimReport) -> Summary:
     delivered, closs, floss, demand = _fold(
         np.array(sums).reshape(-1, 4).T).tolist()
 
-    # per latency, the left fold of its bits over every step; the keys in
-    # the order the run first saw them
-    entries = np.concatenate([np.empty(0)] + [b.lat_value for b in blocks])
-    values, first, key = np.unique(entries, return_index=True,
-                                   return_inverse=True)
-    bits = np.zeros(len(values))
+    # per latency, the left fold of its bits over every step: ``np.add.at``
+    # adds in index order, and each block's entries are in step order
+    latency, key = np.unique(
+        np.concatenate([np.empty(0)] + [b.lat_value for b in blocks]),
+        return_inverse=True)
+    bits = np.zeros(len(latency))
     end = 0
-    for block in blocks:
-        begin, end = end, end + len(block.lat_value)
-        used, column = np.unique(key[begin:end], return_inverse=True)
-        grid = np.zeros((len(block.lat_count), len(used)))
-        grid[np.repeat(np.arange(len(block.lat_count)), block.lat_count),
-             column] = block.lat_bits
-        bits[used] = _fold(np.vstack((bits[used],
-                                      np.tile(grid, (block.repeat, 1)))).T)
-    keep = np.argsort(first)
-    latency = dict(zip(values[keep].tolist(), bits[keep].tolist()))
-    total_bits = sum(latency.values())
-    cdf = []
-    acc = 0.0
-    for lat in sorted(latency):
-        acc += latency[lat]
-        cdf.append((lat, acc / total_bits))
+    for b in blocks:
+        begin, end = end, end + len(b.lat_value)
+        np.add.at(bits, np.tile(key[begin:end], b.repeat),
+                  np.tile(b.lat_bits, b.repeat))
+    # the delivered share up to each latency, by the running sum in latency
+    # order, so the last point is 1 (an empty run has no point)
+    running = np.cumsum(bits)
+    cdf = tuple(zip(latency.tolist(), (running / running[-1:]).tolist()))
     return Summary(
         algorithm=report.algorithm,
         topology=report.topology,
@@ -641,7 +633,7 @@ def metrics_rollup(report: SimReport) -> Summary:
         mean_max_congestion=(sum(max_cong_per_tm) / len(max_cong_per_tm)
                              if max_cong_per_tm else 0.0),
         peak_congestion=max(max_cong_per_tm, default=0.0),
-        latency_cdf=tuple(cdf),
+        latency_cdf=cdf,
         total_churn=sum(report.churn_timeline),
         mean_paths_per_tm=(sum(report.installed_paths) / len(report.installed_paths)
                            if report.installed_paths else 0.0),

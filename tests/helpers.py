@@ -14,7 +14,8 @@ reproduces.  ``reference_raecke_paths`` and ``reference_vlb`` collapse
 every walk on its own, splicing it whole and running
 ``graphops.shortcut`` over it: the specification of the builders that
 join shortcut halves instead.  ``named_dijkstra`` runs the library's
-search with switch names in and out, for tests written in names.
+search with switch names in and out, for tests written in names, and
+``format_scheme`` gives a scheme's canonical text, for pinned digests.
 """
 
 import heapq
@@ -185,6 +186,14 @@ def scheme_items(scheme):
     probability by its ``repr``."""
     return [(pair, [(path, repr(w)) for path, w in dist.items()])
             for pair, dist in scheme.items()]
+
+
+def format_scheme(scheme):
+    """Canonical text form of a scheme, one line per path; byte-identical
+    for equal schemes."""
+    return "".join(f"{pair[0]} {pair[1]} {prob!r} {'-'.join(path)}\n"
+                   for pair in sorted(scheme)
+                   for path, prob in sorted(scheme[pair].items()))
 
 
 def lp_min_max_congestion(topo, commodities, paths=None):

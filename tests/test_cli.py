@@ -194,6 +194,25 @@ def test_run_infeasible_failures_and_flash_exit_2(topo_name, rates, extra,
     assert not (tmp_path / "r").exists()
 
 
+def test_run_checks_flash_sinks_before_building_a_scheme(
+        tmp_path, capsys, monkeypatch):
+    """A matrix with no burst sink is rejected before any scheme is built
+    and before the output directory is made."""
+    def no_driver(*args, **kwargs):
+        raise AssertionError("built a scheme before checking the inputs")
+
+    monkeypatch.setattr(tekit.algorithms, "SchemeDriver", no_driver)
+    tms = tmp_path / "zero.tms"
+    tms.write_text("0 " * 144 + "\n")
+    rc = main(["run", "--topo", str(fileio.bundled_topology_path("abilene")),
+               "--tms", str(tms), "--pred", str(tms), "--algos", "spf",
+               "--steps", "2", "--flash-beta", "1",
+               "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "no host receives any traffic" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_computes_the_failure_schedule_once(topo_path, demand_files,
                                                 tmp_path, monkeypatch):
     calls = []

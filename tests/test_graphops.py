@@ -126,9 +126,19 @@ def test_yen_per_source_matches_per_pair_reference(graph, k):
                                               targets + [t], k)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(graph=_any_named_graphs(), data=st.data())
-def test_dijkstra_with_bans_matches_reference(graph, data):
+@st.composite
+def _dense_graphs(draw):
+    """3-6 nodes from ``_UNSORTED_NAMES`` with at least half of the ordered
+    pairs as arcs, in drawn order, of length 1.0 or 2.0: many equal-cost
+    paths, so ties between node sequences decide most searches."""
+    nodes = draw(st.permutations(_UNSORTED_NAMES))[:draw(st.integers(3, 6))]
+    pairs = draw(st.permutations(list(itertools.permutations(nodes, 2))))
+    arcs = pairs[:draw(st.integers((len(pairs) + 1) // 2, len(pairs)))]
+    adj = {u: tuple(v for (w, v) in arcs if w == u) for u in nodes}
+    return adj, {a: draw(st.sampled_from([1.0, 2.0])) for a in arcs}
+
+
+def _check_dijkstra_with_bans(graph, data):
     """The one search, with random banned nodes and directed edges (never
     the source), settles each target on the path a stop-at-target search
     picks; an unreachable or banned target is missing from both maps."""
@@ -150,6 +160,19 @@ def test_dijkstra_with_bans_matches_reference(graph, data):
             assert best[t] == expected
             assert dist[t] == path_cost(lengths, expected)
     assert set(dist) == set(best)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_any_named_graphs(), data=st.data())
+def test_dijkstra_with_bans_matches_reference(graph, data):
+    _check_dijkstra_with_bans(graph, data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_dense_graphs(), data=st.data())
+def test_dijkstra_with_bans_on_dense_graphs(graph, data):
+    """Dense graphs with few lengths meet ties that sparse ones rarely do."""
+    _check_dijkstra_with_bans(graph, data)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

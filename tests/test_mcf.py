@@ -13,7 +13,8 @@ from tekit.model import (Edge, Topology, TopologyError, TrafficMatrix,
                          path_edges)
 
 from conftest import build_topology, random_topology, tm_of
-from helpers import lp_min_max_congestion, random_commodities
+from helpers import (format_scheme, lp_min_max_congestion,
+                     random_commodities)
 
 
 def test_parallel_routes_analytic(diamond):
@@ -340,7 +341,6 @@ def test_solver_output_pinned(abilene, solver, iterations, lower_bound, pair,
     order changes a last bit, so a summation-order drift shows up here
     first (``semi_mcf``'s pin no longer catches it)."""
     import hashlib
-    from tekit.model import format_scheme
     tm, base = _abilene_pin_inputs(abilene)
     sol = (mcf_mw(abilene, tm) if solver == "mcf_mw"
            else semi_mcf(abilene, tm, base))

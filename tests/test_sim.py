@@ -628,12 +628,12 @@ def test_rollup_matches_step_loop(abilene, algo, flash_beta):
         assert row["congestion_loss_fraction"] == cl / dt
         assert row["failure_loss_fraction"] == fl / dt
         assert row["max_congestion"] == mc
-    total, cdf = sum(latency.values()), []
-    acc = 0.0
+    running, acc = [], 0.0
     for lat in sorted(latency):
         acc += latency[lat]
-        cdf.append((lat, acc / total))
-    assert summary.latency_cdf == tuple(cdf)
+        running.append((lat, acc))
+    assert summary.latency_cdf == tuple((lat, a / acc) for lat, a in running)
+    assert summary.latency_cdf[-1][1] == 1.0
     delivered = demand = 0.0
     for d, _, _, dt, _ in per_tm:
         delivered += d
